@@ -12,9 +12,7 @@ Three backends are compared per size:
 
 * ``python`` - the tuple-at-a-time reference (skipped above
   ``--python-cap`` rows, where it would run for minutes);
-* ``numpy`` - the columnar block kernels, with the suffix-minima
-  window shrink A/B'd (``numpy_noshrink_seconds`` is the same backend
-  with :data:`repro.engine.numpy_backend.SUFFIX_SHRINK` off);
+* ``numpy`` - the columnar block kernels;
 * ``bitset`` - the bit-parallel packed kernels, A/B'd with the
   compiled C sweep disabled (``bitset_nokern_seconds`` is the pure
   numpy-uint64 tier), so the report separates the packing win from
@@ -113,19 +111,6 @@ def measure_backend(dataset, table, backend, repeats: int):
     return sorted(result), best
 
 
-def _measure_numpy_noshrink(dataset, table, repeats: int) -> float:
-    """The numpy column with the suffix-minima window shrink off."""
-    from repro.engine import numpy_backend
-
-    saved = numpy_backend.SUFFIX_SHRINK
-    numpy_backend.SUFFIX_SHRINK = False
-    try:
-        _, seconds = measure_backend(dataset, table, "numpy", repeats)
-    finally:
-        numpy_backend.SUFFIX_SHRINK = saved
-    return seconds
-
-
 def run(sizes, repeats: int, python_cap: int) -> Dict:
     bitset = get_backend("bitset")
     report = {
@@ -178,7 +163,6 @@ def run(sizes, repeats: int, python_cap: int) -> Dict:
                     f"backend mismatch at n={n}: bitset(kernel=off) "
                     f"found {len(nokern_ids)} points"
                 )
-        noshrink_seconds = _measure_numpy_noshrink(dataset, table, repeats)
         python_seconds: Optional[float] = None
         if n <= python_cap:
             python_ids, python_seconds = measure_backend(
@@ -218,7 +202,6 @@ def run(sizes, repeats: int, python_cap: int) -> Dict:
                     else None
                 ),
                 "numpy_seconds": round(numpy_seconds, 6),
-                "numpy_noshrink_seconds": round(noshrink_seconds, 6),
                 "bitset_seconds": round(bitset_seconds, 6),
                 "bitset_nokern_seconds": (
                     round(nokern_seconds, 6)

@@ -16,8 +16,7 @@ configurations that force different planner behaviour:
 A final section replays the hot workload sequentially and through
 ``submit_batch`` (``--batch``, default chunk 32) against fresh
 services, cached and uncached, recording the batched-over-sequential
-throughput ratios; ``--workers`` additionally enables the parallel
-partitioned route in every scenario.
+throughput ratios.
 
 The recorded baseline lives in ``BENCH_serve.json`` at the repo root::
 
@@ -49,9 +48,9 @@ from repro.serve.service import SkylineService
 from repro.serve.workloads import WORKLOADS, build_workload
 
 
-def service_configs(cache_size: int, workers=None) -> Dict[str, Dict]:
+def service_configs(cache_size: int) -> Dict[str, Dict]:
     """Name -> SkylineService keyword arguments per scenario."""
-    common = dict(cache_capacity=cache_size, workers=workers)
+    common = dict(cache_capacity=cache_size)
     return {
         "full-tree": dict(common),
         "tree-k2": dict(common, ipo_k=2),
@@ -93,7 +92,6 @@ def run_batching(dataset, template, args) -> Dict:
                 dataset,
                 template,
                 cache_capacity=args.cache_size,
-                workers=args.workers,
             )
             report = replay(
                 service,
@@ -171,9 +169,6 @@ def main(argv=None) -> int:
     parser.add_argument("--concurrency", type=int, default=4)
     parser.add_argument("--cache-size", type=int, default=64)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="enable the parallel partitioned route "
-                        "with this many workers in every scenario")
     parser.add_argument("--batch", type=int, default=None,
                         help="batch size of the batching comparison "
                         "(default: 32) and of the scenario replays "
@@ -183,8 +178,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.batch is not None and args.batch < 1:
         parser.error(f"--batch must be >= 1, got {args.batch}")
-    if args.workers is not None and args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
 
     dataset = generate(
         SyntheticConfig(
@@ -203,9 +196,7 @@ def main(argv=None) -> int:
 
     scenarios = [
         run_scenario(name, kwargs, dataset, template, args)
-        for name, kwargs in service_configs(
-            args.cache_size, workers=args.workers
-        ).items()
+        for name, kwargs in service_configs(args.cache_size).items()
     ]
     print("  [batching] hot workload, sequential vs submit_batch",
           file=sys.stderr)
@@ -225,7 +216,6 @@ def main(argv=None) -> int:
             "concurrency": args.concurrency,
             "cache_size": args.cache_size,
             "seed": args.seed,
-            "workers": args.workers,
             "batch": args.batch,
         },
         "scenarios": scenarios,

@@ -79,32 +79,6 @@ def backends_metrics(report: Dict) -> Iterator[Metric]:
             )
 
 
-def parallel_metrics(report: Dict) -> Iterator[Metric]:
-    """Headline metrics of a ``bench_parallel.py`` report."""
-    for entry in report.get("results", []):
-        n = entry.get("num_points")
-        strategy = entry.get("strategy")
-        tag = f"parallel[n={n},{strategy}]"
-        yield from _metric(
-            f"{tag}.measured_speedup",
-            entry.get("measured_speedup"), True, True,
-        )
-        yield from _metric(
-            f"{tag}.critical_path_speedup",
-            entry.get("critical_path_speedup"), True, True,
-        )
-        yield from _metric(
-            f"{tag}.parallel_seconds",
-            entry.get("parallel_seconds"), False, False,
-        )
-    batching = report.get("serve_batching", {})
-    for mode in ("cached", "uncached"):
-        yield from _metric(
-            f"parallel.batching.{mode}.batch_speedup",
-            batching.get(mode, {}).get("batch_speedup"), True, True,
-        )
-
-
 def serve_metrics(report: Dict) -> Iterator[Metric]:
     """Headline metrics of a ``bench_serve.py`` report."""
     for scenario in report.get("scenarios", []):
@@ -279,7 +253,6 @@ def faults_metrics(report: Dict) -> Iterator[Metric]:
 #: "benchmark" field prefix -> metric extractor.
 EXTRACTORS = {
     "sfs skyline wall-clock": backends_metrics,
-    "partitioned parallel skyline": parallel_metrics,
     "preference-query serving layer": serve_metrics,
     "incremental skyline maintenance": updates_metrics,
     "durable snapshot + WAL recovery": storage_metrics,

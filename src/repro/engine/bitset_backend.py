@@ -63,8 +63,8 @@ Tiers
 
 Primitive kernels delegate to the numpy / python reference backends;
 only the composite ``skyline`` and the batched ``dominated_any``
-membership sweep (the parallel executor's merge primitive) run on the
-packed representation.
+membership sweep (the bruteforce and D&C primitive) run on the packed
+representation.
 """
 
 from __future__ import annotations
@@ -511,7 +511,7 @@ class BitsetBackend(Backend):
     def dominated_any(
         self, ctx, targets: Sequence[int], against: Sequence[int]
     ) -> List[bool]:
-        """Packed membership sweep (the parallel merge primitive)."""
+        """Packed membership sweep (the bruteforce / D&C primitive)."""
         if not self.vectorized:
             return self._dominated_any_python(ctx, targets, against)
         return self._dominated_any_numpy(ctx, targets, against)

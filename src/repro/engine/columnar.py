@@ -60,18 +60,13 @@ class ColumnarStore:
     Use :meth:`from_rows`; the constructor takes pre-built arrays.
     """
 
-    __slots__ = ("matrix", "keys", "nominal_dims", "_matrix_t", "source_path")
+    __slots__ = ("matrix", "keys", "nominal_dims", "_matrix_t")
 
     def __init__(self, matrix, keys, nominal_dims: Sequence[int]) -> None:
         self.matrix = matrix
         self.keys = keys
         self.nominal_dims = tuple(nominal_dims)
         self._matrix_t = None
-        #: Filesystem path of the column-major file backing ``matrix``,
-        #: when it is a borrowed mmap (set by the borrowed column
-        #: store).  The process-pool executor ships this path to
-        #: workers instead of copying values into shared memory.
-        self.source_path = None
 
     def __len__(self) -> int:
         return self.matrix.shape[0]

@@ -70,15 +70,12 @@ _STAGE_GROWTH = 2
 #: Maximum number of cells any broadcast temporary may hold.
 _CELL_BUDGET = 1 << 24
 
-#: Window-shrinking toggle of the staged sweep (see ``_dominated_any``).
-#: Module-level so the backend benchmark can A/B the trick off; always
-#: on in production.
-SUFFIX_SHRINK = True
-
-#: Only windows longer than this consult the suffix minima: the check
-#: costs one ranks pass over the candidates per stage, which short
-#: windows (the skyline kernel's <= _BLOCK accept batches) cannot
-#: recoup, while long membership sweeps (the parallel merge) can.
+#: Only windows longer than this consult the suffix minima of the
+#: staged sweep (see ``_dominated_any``): the check costs one ranks
+#: pass over the candidates per stage, which short windows (the
+#: skyline kernel's <= _BLOCK accept batches) cannot recoup, while
+#: long ``dominated_any`` sweeps (bruteforce, D&C merges, the bitset
+#: backend's numpy-lanes tier) can.
 _SHRINK_MIN_WINDOW = 512
 
 #: Stop checking once fewer window columns than this remain - the tail
@@ -91,12 +88,10 @@ class _NumpyContext:
 
     __slots__ = (
         "ranks", "ranks_t", "values_t", "scores", "nominal", "table", "np",
-        "source",
     )
 
     def __init__(
-        self, ranks, ranks_t, values_t, scores, nominal, table, np,
-        source=None,
+        self, ranks, ranks_t, values_t, scores, nominal, table, np
     ) -> None:
         self.ranks = ranks
         self.ranks_t = ranks_t
@@ -105,10 +100,6 @@ class _NumpyContext:
         self.nominal = nominal  # per-dimension bool flags
         self.table = table
         self.np = np
-        #: Path of the ``.npy`` sidecar backing ``values_t``, when the
-        #: column store borrowed one; lets the process pool re-map the
-        #: values instead of copying them into shared memory.
-        self.source = source
 
 
 class _Cols:
@@ -204,9 +195,9 @@ def _dominated_any(np, nominal, window: _Cols, candidates: _Cols):
     batch bounds total copy work at ~2x the input size while keeping
     the late, wide stages dense.
 
-    Window shrinking (:data:`SUFFIX_SHRINK`): per-dimension *suffix
-    minima* of the window ranks bound which candidates the remaining
-    window can still dominate.  A candidate strictly below the suffix
+    Window shrinking: per-dimension *suffix minima* of the window
+    ranks bound which candidates the remaining window can still
+    dominate.  A candidate strictly below the suffix
     minimum on any dimension has no not-worse window member left there
     (on nominal dimensions value equality would force a rank tie,
     contradicting the strict inequality), so each stage drops such
@@ -217,7 +208,7 @@ def _dominated_any(np, nominal, window: _Cols, candidates: _Cols):
     num_window = window.size
     if num_window == 0 or num_candidates == 0:
         return dead
-    shrink = SUFFIX_SHRINK and num_window > _SHRINK_MIN_WINDOW
+    shrink = num_window > _SHRINK_MIN_WINDOW
     if shrink:
         # suffix_min[:, s] = per-dimension min of window.ranks[:, s:].
         suffix_min = np.minimum.accumulate(
@@ -294,8 +285,7 @@ class NumpyBackend(Backend):
         for dim in table.schema.nominal_indices:
             nominal[dim] = True
         return _NumpyContext(
-            ranks, ranks_t, store.matrix_t, scores, nominal, table, np,
-            source=getattr(store, "source_path", None),
+            ranks, ranks_t, store.matrix_t, scores, nominal, table, np
         )
 
     def _ids_array(self, ctx, ids):

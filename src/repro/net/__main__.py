@@ -79,16 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["auto", "python", "numpy", "bitset"],
                         default="auto",
                         help="execution backend (default: process default)")
-    parser.add_argument("--workers", type=positive_int, default=None,
-                        help="enable the parallel partitioned-skyline "
-                        "route with this many workers (default: off)")
-    parser.add_argument("--partitions", type=positive_int, default=None,
-                        help="partition count of the parallel route "
-                        "(default: same as --workers)")
-    parser.add_argument("--strategy",
-                        choices=["round-robin", "sorted", "entropy"],
-                        default="sorted",
-                        help="partitioning strategy (default: sorted)")
     parser.add_argument("--storage-dir", type=str, default=None,
                         help="directory for durable state (snapshots + "
                         "WAL); mutations over the wire are then logged "
@@ -326,9 +316,6 @@ def main(argv=None) -> int:
         follower = Follower(
             HttpReplicationSource(primary_host, primary_port),
             cache_capacity=args.cache_size,
-            workers=args.workers,
-            partitions=args.partitions,
-            partition_strategy=args.strategy,
             poll_interval=args.poll_interval,
         )
         print(

@@ -83,7 +83,7 @@ class ServerConfig:
     #: Retune the semantic cache on reload (``None`` = leave as built).
     cache_capacity: Optional[int] = None
     #: :class:`~repro.serve.planner.PlannerConfig` overrides by field
-    #: name (e.g. ``{"parallel_min_rows": 10000}``).
+    #: name (e.g. ``{"bitset_min_rows": 10000}``).
     planner: Dict[str, object] = field(default_factory=dict)
     #: Emit one structured JSON access-log line per request.
     access_log: bool = True

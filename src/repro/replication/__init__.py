@@ -18,8 +18,8 @@ without touching the core algorithms:
   skyline of the union of local skylines.  The union contains every
   global skyline point (a globally undominated point is undominated on
   its own shard) and the merge sweep removes the cross-shard dominated
-  rest, so the answer is exact - the same two-stage argument the
-  parallel engine's merge proof rests on.
+  rest, so the answer is exact (the full argument is in the
+  coordinator's module docstring).
 * **Routing** (:mod:`repro.replication.router`) - a
   :class:`FanOutClient` sends mutations to the primary and fans
   queries out across replicas under a bounded-staleness contract

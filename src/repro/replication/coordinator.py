@@ -2,15 +2,34 @@
 
 **Why the merge is exact.**  Stripe the rows across shards; ask each
 shard for the skyline of *its* rows only; take the skyline of the
-union of those local skylines.  A point dominated by nothing globally
-is dominated by nothing on its own shard, so every global skyline
-point survives into the union; and because dominance under one
-preference is transitive, any union point dominated by a point on
-another shard is removed by the final sweep while no global skyline
-point can be.  This is the same two-stage local-skylines-then-merge
-argument the parallel engine's partitioned executor is built on - the
-coordinator just runs stage one over the network instead of over
-threads.
+union of those local skylines.  The argument holds for *any* split of
+the rows, and it only needs dominance under one preference to be a
+strict partial order (irreflexive and transitive):
+
+1. A point dominated by nothing globally is dominated by nothing on
+   its own shard, so every global skyline point survives into the
+   union: ``SKY(all) <= union``.
+2. Let ``p`` be a union point that some ``q`` dominates globally.
+   Either ``q`` survived its own shard, so ``q`` is in the union, or
+   it did not.  On finite data every dominated point is dominated by
+   a member of the skyline, so some member ``r`` of that shard's local
+   skyline dominates ``q``.  Dominance is transitive, so ``r``
+   dominates ``p`` from inside the union.  Either way the final sweep
+   removes ``p``.
+
+So the skyline of the union is exactly the global skyline.  One
+caveat is the paper's partial-order subtlety.  Two *distinct* nominal
+values that the preference does not list are mutually incomparable,
+not tied.  Per dimension the preference is still a partial order, so
+transitivity holds, but only if the shards and the merge use the same
+dominance test.  The coordinator never compares points itself.  Every
+shard route matches the bruteforce oracle, and the merge runs
+:func:`repro.core.skyline.skyline` over the same schema, template and
+preference, so stage one and stage two share one dominance relation.
+A merge that collapsed unlisted values into one tied rank would be
+transitive too, and wrong.  The differential tests in
+``tests/test_replication.py`` pin the coordinator against a
+single-node service over the same dataset.
 
 **Global ids.**  The coordinator addresses rows by *global id* = the
 order they entered the cluster.  With round-robin striping

@@ -7,7 +7,7 @@ per workload shape::
     python -m repro.serve                          # default replay
     python -m repro.serve --points 4000 --queries 400 --concurrency 8
     python -m repro.serve --workloads hot,churn --cache-size 32
-    python -m repro.serve --workers 4 --batch 32   # parallel + batched
+    python -m repro.serve --batch 32               # batched submission
     python -m repro.serve --json BENCH_serve.json  # machine-readable
     python -m repro.serve --selftest               # CI smoke check
     python -m repro.serve --storage-dir ./state --checkpoint   # durable
@@ -45,7 +45,7 @@ from repro.serve.workloads import WORKLOADS, build_workload
 def positive_int(text: str) -> int:
     """Argparse ``type=`` validator for flags that must be >= 1.
 
-    Rejecting ``--workers 0`` / ``--batch 0`` at parse time yields a
+    Rejecting ``--concurrency 0`` / ``--batch 0`` at parse time yields a
     proper argparse usage error (exit code 2) instead of hanging in an
     empty pool or crashing deep inside batch chunking.
     """
@@ -83,17 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "preference space, keeping the cold workload cold)")
     parser.add_argument("--concurrency", type=positive_int, default=4,
                         help="driver worker threads (default: 4)")
-    parser.add_argument("--workers", type=positive_int, default=None,
-                        help="enable the parallel partitioned-skyline "
-                        "route with this many workers (default: off)")
-    parser.add_argument("--partitions", type=positive_int, default=None,
-                        help="partition count of the parallel route "
-                        "(default: same as --workers)")
-    parser.add_argument("--strategy",
-                        choices=["round-robin", "sorted", "entropy"],
-                        default="sorted",
-                        help="partitioning strategy of the parallel "
-                        "route (default: sorted)")
     parser.add_argument("--batch", type=positive_int, default=None,
                         help="submit queries in batches of this size "
                         "via submit_batch (default: one query at a "
@@ -171,9 +160,6 @@ def build_service(args) -> SkylineService:
             args.storage_dir,
             cache_capacity=args.cache_size,
             planner_config=PlannerConfig(forced_route=args.route),
-            workers=args.workers,
-            partitions=args.partitions,
-            partition_strategy=args.strategy,
             checkpoint_every=args.checkpoint_every,
             checkpoint_wal_bytes=args.checkpoint_wal_bytes,
             mmap=args.mmap,
@@ -205,9 +191,6 @@ def build_service(args) -> SkylineService:
         cache_capacity=args.cache_size,
         ipo_k=args.ipo_k,
         planner_config=PlannerConfig(forced_route=args.route),
-        workers=args.workers,
-        partitions=args.partitions,
-        partition_strategy=args.strategy,
         storage_dir=args.storage_dir,
         checkpoint_every=args.checkpoint_every,
         checkpoint_wal_bytes=args.checkpoint_wal_bytes,
@@ -280,7 +263,6 @@ def as_json(service: SkylineService, reports: List[WorkloadReport], args) -> Dic
             "cache_size": args.cache_size,
             "template_order": args.template_order,
             "seed": args.seed,
-            "workers": args.workers,
             "batch": args.batch,
         },
         "preprocessing_seconds": round(service.preprocessing_seconds, 6),
@@ -292,9 +274,7 @@ def selftest(args) -> int:
     """Small fixed smoke run asserting the serving layer's invariants.
 
     1. every available planner route returns the identical skyline for
-       randomized preferences (includes the cache-key/planner plumbing;
-       the parallel partitioned route is enabled with two workers so it
-       participates),
+       randomized preferences (includes the cache-key/planner plumbing),
     2. the hot workload achieves a cache hit-rate > 0,
     3. every workload shape replays without error under concurrency,
     4. batched evaluation returns exactly the per-query answers.
@@ -318,12 +298,7 @@ def selftest(args) -> int:
     # far larger than the cache, so the shapes behave distinctly even in
     # this small smoke configuration.
     args.order = 3
-    # Two workers enable the parallel route so the equivalence sweep
-    # covers it; dropping the executor's small-input cutoff makes the
-    # forced route genuinely partition + merge even at this tiny n.
-    args.workers, args.partitions = 2, 2
     service = build_service(args)
-    service.parallel.min_rows = 0
 
     failures = []
     for pref in generate_preferences(

@@ -15,17 +15,10 @@ implicit-preference skyline query, each with a different cost shape:
   the base data; competitive when the dataset is small or the
   vectorized engine is available, and the only route that needs no
   preprocessing at all.
-* **parallel kernel** (``"parallel"``) - the same full scan executed
-  by the partition-skyline-merge executor
-  (:mod:`repro.engine.parallel`); wins over ``"kernel"`` on large,
-  moderate-dimensional datasets when a worker pool is configured.
 * **bit-parallel kernel** (``"bitset"``) - the full scan on the packed
   dominance kernels (:mod:`repro.engine.bitset_backend`): one bitwise
   AND tests 64 accepted points at once, so on large low-dimensional
-  scans it beats both the plain and the partitioned numpy kernel.
-  When a worker pool is configured the service executes this route as
-  the partitioned executor *wrapping* the bitset backend, combining
-  both speedups.
+  scans it beats the plain numpy kernel.
 * **incremental** (``"incremental"``) - a kernel scan restricted to
   the *incrementally maintained* template skyline
   (:mod:`repro.updates`).  Under heavy churn the materialised indexes
@@ -50,9 +43,7 @@ from typing import Dict, Optional, Tuple
 from repro.core.preferences import Preference
 
 #: All routes the planner can emit, in preference order.
-ROUTES = (
-    "incremental", "ipo", "adaptive", "mdc", "bitset", "parallel", "kernel"
-)
+ROUTES = ("incremental", "ipo", "adaptive", "mdc", "bitset", "kernel")
 
 
 @dataclass(frozen=True)
@@ -79,20 +70,9 @@ class PlannerConfig:
     #: Used by operators for incident bypasses and by the route tests.
     forced_route: Optional[str] = None
 
-    #: The partitioned executor only pays for its pool + merge sweep on
-    #: large scans; below this many base rows the plain kernel route is
-    #: kept even when workers are available.
-    parallel_min_rows: int = 50_000
-
-    #: Above this many dimensions the per-partition skylines converge
-    #: towards their whole partitions (high-dimensional data is mostly
-    #: incomparable), so the merge sweep re-does the full scan and the
-    #: parallel route stops paying; fall back to the plain kernel.
-    parallel_max_dims: int = 12
-
     #: The packed bit-parallel kernel amortises its quantize-and-pack
     #: pass only on large scans; below this many base rows the plain
-    #: (or partitioned) kernel route is kept.
+    #: kernel route is kept.
     bitset_min_rows: int = 100_000
 
     #: Bucket false positives of the packed AND grow with
@@ -119,10 +99,6 @@ class PlannerConfig:
             raise ValueError("max_affected_fraction must be within [0, 1]")
         if self.small_dataset_rows < 0:
             raise ValueError("small_dataset_rows must be >= 0")
-        if self.parallel_min_rows < 0:
-            raise ValueError("parallel_min_rows must be >= 0")
-        if self.parallel_max_dims < 1:
-            raise ValueError("parallel_max_dims must be >= 1")
         if self.bitset_min_rows < 0:
             raise ValueError("bitset_min_rows must be >= 0")
         if self.bitset_max_dims < 1:
@@ -144,15 +120,8 @@ class PlanSignals:
     template_skyline_size: int
     mdc_available: bool
     backend_vectorized: bool
-    #: A configured partition-skyline-merge executor exists on the
-    #: service (``SkylineService(workers=...)``); defaulted so older
-    #: signal producers keep working unchanged.
-    parallel_available: bool = False
-    #: Its worker-pool size (0 when unavailable); one worker cannot
-    #: outrun the plain kernel, so the gate requires at least two.
-    parallel_workers: int = 0
-    #: Dimensionality of the dataset (the parallel gate degrades with
-    #: ``d`` - see ``PlannerConfig.parallel_max_dims``).
+    #: Dimensionality of the dataset (the bitset gate degrades with
+    #: ``d`` - see ``PlannerConfig.bitset_max_dims``).
     dimensions: int = 0
     #: The service holds a vectorized (numpy-tier) bitset backend for
     #: scan routes; defaulted so older signal producers keep working.
@@ -209,12 +178,8 @@ class Planner:
     8. No auxiliary structure left: a base-data scan is due.  When the
        vectorized bitset backend is available, the dataset is at least
        ``bitset_min_rows`` and at most ``bitset_max_dims``-dimensional
-       -> ``bitset`` (the packed bit-parallel scan; executed under the
-       worker pool when one is configured).
-    9. Else, when a partitioned executor is configured with at least
-       two workers, the dataset is at least ``parallel_min_rows`` and
-       at most ``parallel_max_dims``-dimensional -> ``parallel``.
-    10. Otherwise -> ``kernel``.
+       -> ``bitset`` (the packed bit-parallel scan).
+    9. Otherwise -> ``kernel``.
     """
 
     def __init__(self, config: Optional[PlannerConfig] = None) -> None:
@@ -291,19 +256,6 @@ class Planner:
                 f"full scan over {signals.dataset_rows} rows in "
                 f"{signals.dimensions} dimensions; packed bit-parallel "
                 "kernel evaluates 64 dominance tests per word op",
-                signals,
-            )
-        if (
-            signals.parallel_available
-            and signals.parallel_workers >= 2
-            and signals.dataset_rows >= cfg.parallel_min_rows
-            and signals.dimensions <= cfg.parallel_max_dims
-        ):
-            return Plan(
-                "parallel",
-                f"full scan over {signals.dataset_rows} rows with "
-                f"{signals.parallel_workers} workers available; "
-                "partition-local skylines + merge sweep beat one core",
                 signals,
             )
         return Plan(

@@ -294,53 +294,6 @@ class TestKernelGate:
         ) == without.dominated_any(ctx_off, ids, ids[:700])
 
 
-@needs_numpy
-class TestParallelComposition:
-    """ParallelBackend(inner="bitset"): packed kernels under the pool."""
-
-    @pytest.mark.parametrize("mode", ("serial", "thread", "process"))
-    def test_partitioned_bitset_matches_plain_skyline(self, mode):
-        from repro.engine import make_parallel_backend
-        from repro.engine.parallel import fork_available
-
-        if mode == "process" and not fork_available():
-            pytest.skip("no fork on this platform")
-        dataset, table = _workload(4000, seed=13, num_nominal=3)
-        plain = get_backend("bitset")
-        expected = set(
-            plain.skyline(_contexts(plain, dataset, table), list(dataset.ids))
-        )
-        parallel = make_parallel_backend(
-            "bitset", workers=2, partitions=3, mode=mode, min_rows=0
-        )
-        ctx = parallel.prepare(
-            dataset.canonical_rows, table, store=dataset.columns
-        )
-        got = set(parallel.skyline(ctx, list(dataset.ids)))
-        assert got == expected
-
-    def test_shared_context_ships_packed_buckets(self):
-        from repro.engine import make_parallel_backend
-        from repro.engine.parallel import _SharedContext
-
-        dataset, table = _workload(600, seed=17)
-        parallel = make_parallel_backend("bitset", workers=2)
-        ctx = parallel.prepare(
-            dataset.canonical_rows, table, store=dataset.columns
-        )
-        with _SharedContext(ctx.inner, parallel.inner) as shared:
-            assert shared.backend_spec[0] == "bitset"
-            assert len(shared.names) == 4
-        # A plain numpy inner backend ships only the three float blocks.
-        plain = make_parallel_backend("numpy", workers=2)
-        ctx = plain.prepare(
-            dataset.canonical_rows, table, store=dataset.columns
-        )
-        with _SharedContext(ctx.inner, plain.inner) as shared:
-            assert shared.backend_spec == ("numpy",)
-            assert len(shared.names) == 3
-
-
 class TestConstructionAndStatus:
     def test_invalid_tier_arguments_raise(self):
         with pytest.raises(EngineError, match="packed tier"):

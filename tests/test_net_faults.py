@@ -268,6 +268,7 @@ def test_invalid_reload_keeps_old_config(tmp_path):
                 json.dumps({"max_inflight": "lots"}), # wrong type
                 json.dumps({"max_inflight": 0}),      # out of range
                 json.dumps({"surprise_knob": 1}),     # unknown key
+                json.dumps({"planner": {"parallel_min_rows": 1}}),  # stale
             ):
                 config_path.write_text(bad)
                 failed = client.reload()

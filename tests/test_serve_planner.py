@@ -94,63 +94,6 @@ class TestDecisionRules:
         assert Planner().plan(sig).route == "adaptive"
 
 
-def bare_scan_signals(**overrides) -> PlanSignals:
-    """No auxiliary structure: the planner must pick a base-data scan."""
-    base = dict(
-        tree_available=False,
-        tree_covers_query=False,
-        adaptive_available=False,
-        affected_members=0,
-        mdc_available=False,
-        parallel_available=True,
-        parallel_workers=4,
-        dataset_rows=200_000,
-        dimensions=6,
-    )
-    base.update(overrides)
-    return signals(**base)
-
-
-class TestParallelGate:
-    """Rule 7: the partitioned executor upgrades the kernel fallback."""
-
-    def test_large_scan_routes_to_parallel(self):
-        plan = Planner().plan(bare_scan_signals())
-        assert plan.route == "parallel"
-        assert "workers" in plan.reason
-
-    def test_requires_configured_executor(self):
-        plan = Planner().plan(bare_scan_signals(parallel_available=False))
-        assert plan.route == "kernel"
-
-    def test_requires_at_least_two_workers(self):
-        plan = Planner().plan(bare_scan_signals(parallel_workers=1))
-        assert plan.route == "kernel"
-
-    def test_small_scans_stay_on_kernel(self):
-        plan = Planner().plan(bare_scan_signals(dataset_rows=10_000))
-        assert plan.route == "kernel"
-
-    def test_high_dimensional_scans_stay_on_kernel(self):
-        plan = Planner().plan(bare_scan_signals(dimensions=20))
-        assert plan.route == "kernel"
-
-    def test_thresholds_configurable(self):
-        eager = Planner(PlannerConfig(parallel_min_rows=1_000))
-        plan = eager.plan(bare_scan_signals(dataset_rows=10_000))
-        assert plan.route == "parallel"
-        narrow = Planner(PlannerConfig(parallel_max_dims=4))
-        assert narrow.plan(bare_scan_signals()).route == "kernel"
-
-    def test_index_routes_still_win(self):
-        # Indexes search inside SKY(R~); a configured pool never
-        # overrides them.
-        plan = Planner().plan(
-            bare_scan_signals(mdc_available=True)
-        )
-        assert plan.route == "mdc"
-
-
 class TestConfigValidation:
     def test_unknown_forced_route_rejected(self):
         with pytest.raises(ValueError):
@@ -163,12 +106,6 @@ class TestConfigValidation:
     def test_negative_small_dataset_rows(self):
         with pytest.raises(ValueError):
             PlannerConfig(small_dataset_rows=-1)
-
-    def test_parallel_threshold_bounds(self):
-        with pytest.raises(ValueError):
-            PlannerConfig(parallel_min_rows=-1)
-        with pytest.raises(ValueError):
-            PlannerConfig(parallel_max_dims=0)
 
 
 class TestEndToEndRouting:
