@@ -468,3 +468,37 @@ class TestMmapMode:
         # Fell back to the eager tier: owned rows, nothing borrowed.
         assert isinstance(restored.base_store, JsonColumnStore)
         assert list(restored.canonical_rows) == list(data.canonical_rows)
+
+
+# ---------------------------------------------------------------------------
+# the columnar view over the mapped sidecar file
+# ---------------------------------------------------------------------------
+
+
+@needs_numpy
+class TestFileShippedValues:
+    def borrowed_dataset(self, tmp_path, monkeypatch, points=600):
+        from repro.datagen import SyntheticConfig, generate
+
+        base = generate(
+            SyntheticConfig(
+                num_points=points, num_numeric=2, num_nominal=2,
+                cardinality=4, distribution="anticorrelated", seed=23,
+            )
+        )
+        data = DynamicDataset.from_dataset(base)
+        path = sidecar_snapshot(tmp_path, monkeypatch, data)
+        dyn = restore_dataset(read_snapshot(path, mmap=True)["data"])
+        return base, dyn.base_dataset(), dyn.base_store, path
+
+    def test_columnar_view_advertises_its_file(self, tmp_path, monkeypatch):
+        base, borrowed, store, path = self.borrowed_dataset(
+            tmp_path, monkeypatch
+        )
+        columns = borrowed.columns
+        assert columns.matrix is store.matrix  # the mmap IS the matrix
+        # The matrix is a memory map of the snapshot's ``.npy`` sidecar.
+        assert os.path.samefile(
+            columns.matrix.filename, path.with_suffix(".npy")
+        )
+        store.close()
