@@ -47,9 +47,9 @@ def _metric(
         yield (name, float(value), higher_is_better, ratio)
 
 
-#: The bitset-over-numpy ratio is a headline metric only at scale: at
-#: small n the packed tier's quantize/pack overhead dominates and the
-#: ratio is noise, not signal.
+#: The bitset-over-numpy ratios (warm and cold-table) are headline
+#: metrics only at scale: at small n the packed tier's quantize/pack
+#: overhead dominates and the ratio is noise, not signal.
 BITSET_HEADLINE_MIN_ROWS = 100_000
 
 
@@ -76,6 +76,10 @@ def backends_metrics(report: Dict) -> Iterator[Metric]:
             yield from _metric(
                 f"backends[n={n}].bitset_over_numpy",
                 entry.get("bitset_over_numpy"), True, True,
+            )
+            yield from _metric(
+                f"backends[n={n}].bitset_cold_over_numpy_cold",
+                entry.get("bitset_cold_over_numpy_cold"), True, True,
             )
 
 

@@ -14,7 +14,8 @@ bundles and construction is benchmarked separately with
 
 Scales here are benchmark-friendly (seconds, not hours); the CLI
 harness (``python -m repro.bench``) runs the bigger scaled sweeps and
-EXPERIMENTS.md records both against the paper's plots.
+checks their shapes against the paper's claims
+(:mod:`repro.bench.paper_reference`).
 """
 
 from __future__ import annotations

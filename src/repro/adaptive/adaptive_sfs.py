@@ -43,7 +43,7 @@ from repro.adaptive.sorted_skyline import SortedSkylineList
 from repro.algorithms.sfs import sfs_skyline
 from repro.core.colstore import growable_rows
 from repro.core.dataset import Dataset, Row
-from repro.core.dominance import RankTable
+from repro.core.dominance import RankTable, score_sorted
 from repro.core.preferences import Preference
 from repro.engine import resolve_backend
 from repro.exceptions import DatasetError
@@ -255,18 +255,24 @@ class AdaptiveSFS:
         return sorted(out)
 
     def _rescore(self, table: RankTable, point_ids) -> List[Tuple[float, int]]:
-        """Backend-batched ``(score, id)`` pairs, sorted ascending.
+        """Backend-batched ``(score, id)`` pairs in SFS visit order.
 
         All sorting keys of the index - construction, per-query re-rank
         and maintenance - flow through the same backend kernel so their
         float summation order is consistent everywhere (mixed summation
-        orders could flip near-tied visit orders).
+        orders could flip near-tied visit orders).  Equal scores are
+        ordered by rank vector (:func:`score_sorted`), so an affected
+        dominator whose score rounded onto its victim's still comes
+        first; exact ties stay in id order.
         """
-        ordered = list(point_ids)
+        ordered = sorted(point_ids)
         scores = self._backend.score_rows(
             table, [self._rows[i] for i in ordered]
         )
-        return sorted(zip(scores, ordered))
+        rows = self._rows
+        return score_sorted(
+            zip(scores, ordered), lambda i: table.rank_vector(rows[i])
+        )
 
     # ------------------------------------------------------------------
     # measurements used by the benchmark harness
@@ -373,9 +379,12 @@ def _merge_by_score(
 ) -> Iterator[Tuple[float, int, bool]]:
     """Merge the two score-sorted streams; flags re-scored entries.
 
-    Ties may interleave either way: equal-score points never dominate
-    each other (the score is strictly monotone under dominance), so any
-    tie order yields a correct SFS visit order.
+    On equal scores the re-scored (affected) entry goes first: only
+    affected members can dominate under the refinement (module
+    docstring), and float rounding can tie a dominator's score with
+    its victim's.  Ties among re-scored entries keep
+    :meth:`AdaptiveSFS._rescore`'s rank-vector order; unaffected
+    members never dominate each other.
     """
     pending = iter(rescored)
     next_affected = next(pending, None)

@@ -21,11 +21,16 @@ executable:
   unlisted values - so equality never contributes to pruning, and
   accepted points are verified with exact dominance tests.
 
-Correctness: ``f(p) = sum(rank(p))`` strictly decreases along dominance,
-so points pop in an order where no later point dominates an earlier
-accepted one; every popped point is checked exactly against the current
-skyline; and the pruning rule only discards boxes all of whose points
-are genuinely dominated.
+Correctness: entries pop in ascending ``(sum(rank), rank vector)``
+order (a box is keyed by its lower corner).  If ``a`` dominates ``b``,
+``a``'s rank vector is <= ``b``'s on every dimension and < on one, so
+its float sum is <= (rounding is monotone) and, on a sum tie, its
+vector is lexicographically smaller; every box holding ``a`` has a
+key <= ``a``'s.  So ``a`` (or a box holding it) always pops before
+``b``: no later point dominates an earlier accepted one.  Every popped
+point is checked exactly against the current skyline, and the pruning
+rule only discards boxes all of whose points are genuinely
+dominated.
 """
 
 from __future__ import annotations
@@ -64,10 +69,12 @@ def bbs_skyline(
     skyline_ids: List[int] = []
     skyline_ranks: List[tuple] = []
 
-    counter = itertools.count()  # tie-break heap entries
-    heap = [(tree.root.min_score(), next(counter), tree.root, None)]
+    # Heap keys: (score, rank vector or lower corner, unique counter).
+    counter = itertools.count()
+    root = tree.root
+    heap = [(root.min_score(), root.lower_corner, next(counter), root, None)]
     while heap:
-        _score, _tie, node, point_id = heapq.heappop(heap)
+        _score, _corner, _tie, node, point_id = heapq.heappop(heap)
         if point_id is not None:
             # A concrete point: exact dominance check against the
             # accepted skyline (rank ties can hide incomparability, so
@@ -84,14 +91,18 @@ def bbs_skyline(
             for point, child_id in node.entries:
                 if not _pruned(point, skyline_ranks):
                     heapq.heappush(
-                        heap, (sum(point), next(counter), node, child_id)
+                        heap,
+                        (sum(point), point, next(counter), node, child_id),
                     )
         else:
             for child in node.children:
                 if not _pruned(child.lower_corner, skyline_ranks):
                     heapq.heappush(
                         heap,
-                        (child.min_score(), next(counter), child, None),
+                        (
+                            child.min_score(), child.lower_corner,
+                            next(counter), child, None,
+                        ),
                     )
     return skyline_ids
 

@@ -1,8 +1,8 @@
 """Sort-First Skyline (SFS) [Chomicki, Godfrey, Gryz, Liang, ICDE'03].
 
 SFS presorts the input by a *monotone* preference function ``f`` - if
-``p`` dominates ``q`` then ``f(p) < f(q)`` - and then streams the sorted
-points through a skyline list ``L``:
+``p`` dominates ``q`` then ``f(p) < f(q)`` in exact arithmetic - and
+then streams the sorted points through a skyline list ``L``:
 
 * a point dominated by some point of ``L`` is discarded,
 * otherwise it is appended to ``L``.
@@ -15,9 +15,13 @@ the algorithm is **progressive** - and (b) no eviction pass is needed
 This module implements SFS generically over a
 :class:`~repro.core.dominance.RankTable`, whose :meth:`score` is exactly
 the paper's ``f(p) = sum_i r(p.Di)`` (Section 4.1/4.2) and is monotone
-for any implicit preference.  Ties in ``f`` are left in input order;
-tied points can never dominate each other (monotonicity is strict), so
-any tie order is correct.
+for any implicit preference.  Computed in floating point, ``f`` is
+only weakly monotone: rounding can give a dominator the same score as
+the point it dominates (``2**53 + 1.0 == 2**53``), so tied points *can*
+dominate each other.  Every backend's presort therefore orders a run
+of equal scores lexicographically by rank vector, which dominance
+strictly decreases; rows left tied have identical rank vectors and
+never dominate each other, so their order is immaterial.
 """
 
 from __future__ import annotations
@@ -39,8 +43,9 @@ def sort_by_score(
 
     Scores are computed by the selected execution backend; summation
     order may differ between backends in the last ulp, which can swap
-    near-tied ids - harmless, since tied or near-tied points never
-    dominate each other (the score is strictly monotone).
+    near-tied ids.  Within one backend the order is dominance-safe: a
+    dominator never sorts after a point it dominates, score ties being
+    broken by rank vector (see the module docstring).
     """
     engine = resolve_backend(backend)
     ctx = engine.prepare(rows, table, store=store)

@@ -1,9 +1,9 @@
 """ASCII line charts for benchmark series.
 
 The paper's figures are log-scale line plots; this module renders the
-harness's series the same way, directly in the terminal, so the shape
-comparison in EXPERIMENTS.md can be eyeballed without a plotting stack
-(the container has no matplotlib and no display).
+harness's series the same way, directly in the terminal, so their
+shapes can be compared with the paper's plots without a plotting stack
+(matplotlib and a display are not assumed).
 
 >>> print(ascii_chart(
 ...     {"A": [(1, 10.0), (2, 100.0)], "B": [(1, 5.0), (2, 7.0)]},

@@ -12,7 +12,8 @@ Two parameterisations exist per figure:
   cardinality up to 40, ...).  These run for hours in pure Python.
 * ``"scaled"`` (default) - the same sweeps shrunk to laptop scale.
   Relative behaviour (method ranking, growth trends, crossovers) is
-  preserved; see EXPERIMENTS.md for the mapping and the argument.
+  preserved; :mod:`repro.bench.paper_reference` checks it claim by
+  claim.
 
 The paper repeats preprocessing/storage measurements 100 times and
 averages; we default to a single build (``repeats=1``) since pure

@@ -1,10 +1,10 @@
 """Machine-checked shape expectations from the paper's evaluation section.
 
-EXPERIMENTS.md compares our measured sweeps against the published plots
-claim by claim; this module encodes those claims as executable
-predicates over :class:`~repro.bench.runner.RunResult` rows, so a
-harness run can *verify* the reproduction instead of leaving the
-comparison to the reader:
+This module encodes the paper's claims about its published plots, claim
+by claim, as executable predicates over
+:class:`~repro.bench.runner.RunResult` rows, so a harness run
+(``python -m repro.bench --check-shapes``) can *verify* the
+reproduction instead of leaving the comparison to the reader:
 
 >>> # verdicts = check_figure("fig4", results)   # [(claim, True), ...]
 

@@ -31,7 +31,8 @@ dimension and strictly better on at least one.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.attributes import AttributeKind, Schema
 from repro.core.dataset import CanonicalRow
@@ -197,7 +198,11 @@ class RankTable:
         per-dimension term of ``p`` is <= the corresponding term of ``q``
         (preferred nominal values have strictly smaller ranks; canonical
         floats are already smaller-is-better) and at least one term is
-        strictly smaller, hence ``f(p) < f(q)``.
+        strictly smaller, hence ``f(p) < f(q)`` in exact arithmetic.
+        The float sum only keeps ``f(p) <= f(q)`` (rounding is monotone
+        but can absorb the strict gap, e.g. ``2**53 + 1.0 == 2**53``),
+        so score presorts break ties by rank vector: see
+        :func:`score_sorted`.
         """
         total = 0.0
         for table, a in zip(self._dims, p):
@@ -298,6 +303,13 @@ class RankTable:
                 break
         return ranks
 
+    def nominal_lut(self, dim: int) -> List[int]:
+        """Value id -> rank list of nominal dimension ``dim`` (read only)."""
+        table = self._dims[dim]
+        if table is None:
+            raise ValueError(f"dimension {dim} is not nominal")
+        return table
+
     def nominal_rank(self, dim: int, value_id: int) -> int:
         """Rank of one nominal value id on dimension ``dim``."""
         table = self._dims[dim]
@@ -329,4 +341,25 @@ def minima(
         if any(dominates(rows[j], p) for j in id_list if j != i):
             continue
         out.append(i)
+    return out
+
+
+def score_sorted(
+    scored: Iterable[Tuple[float, int]],
+    rank_of: Callable[[int], Sequence[float]],
+) -> List[Tuple[float, int]]:
+    """``(score, id)`` pairs in SFS visit order.
+
+    Ascending score, equal-score runs ordered lexicographically by the
+    rank vector ``rank_of(id)``, remaining ties in input order.  If
+    ``a`` dominates ``b``, ``a``'s rank vector is <= ``b``'s on every
+    dimension and < on one, so it is lexicographically smaller and a
+    score tie left by float rounding (see :meth:`RankTable.score`)
+    still puts the dominator first.  Ties are detected with one pass
+    over the sorted scores, so the common tie-free input pays no rank
+    vectors.
+    """
+    out = sorted(scored, key=itemgetter(0))
+    if any(a[0] == b[0] for a, b in zip(out, out[1:])):
+        out.sort(key=lambda pair: (pair[0], rank_of(pair[1])))
     return out

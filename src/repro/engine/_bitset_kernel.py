@@ -67,7 +67,7 @@ _SOURCE = r"""
 
 /* Exact dominance for a pair that already passed the bucket AND, so
  * acc_bucket[j] <= cand_bucket[j] on every dimension.  A strictly
- * lower bucket certifies a strictly lower rank (quantile cuts are
+ * lower bucket certifies a strictly lower rank (bucket maps are
  * monotone), which settles the dimension for universal AND nominal
  * semantics alike; only bucket-tied dimensions need the exact rank /
  * value comparison. */

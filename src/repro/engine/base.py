@@ -91,7 +91,13 @@ class Backend(ABC):
 
     @abstractmethod
     def sort_by_score(self, ctx, ids: Sequence[int]) -> List[int]:
-        """``ids`` sorted by ascending score (ties in input order)."""
+        """``ids`` sorted by ascending score, ties by rank vector.
+
+        Equal scores are ordered lexicographically by rank vector, so a
+        dominator precedes every point it dominates even when float
+        rounding ties their scores; rows with equal score and rank
+        vector keep their input order.
+        """
 
     # -- dominance --------------------------------------------------------
     @abstractmethod

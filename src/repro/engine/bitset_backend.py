@@ -9,16 +9,38 @@ rescanning the whole accepted set.
 
 Packed layout
 -------------
-Per prepared context, every dimension's rank column is quantized into
-at most :data:`NUM_BUCKETS` monotone *bucket* levels (quantile cuts
-over a rank sample; ``rank_a <= rank_b`` implies
-``bucket_a <= bucket_b``).  The sweep then maintains, per dimension
-``j``, a **threshold bitmap** over the accepted window::
+Every dimension's rank column is quantized into at most
+:data:`NUM_BUCKETS` monotone *bucket* levels (``rank_a <= rank_b``
+implies ``bucket_a <= bucket_b``, and a strictly lower bucket implies
+a strictly lower rank).  The packing is split by what it depends on:
+
+* **per store** - numeric ranks are the store's canonical floats, the
+  same for every preference.  Their quantile cuts (over a strided rank
+  sample) and ``uint8`` bucket rows are computed once per columnar
+  store and reused while the store object lives (an ``is`` check: a
+  store is immutable, every dataset version hands out a new one).  The
+  same record keeps a contiguous transposed copy of the nominal value
+  ids (``store.keys``).
+* **per query** - each nominal column is gathered straight into the
+  ``(d, n)`` rank and bucket matrices through two value-id lookup
+  tables of the compiled preference: rank (``float64``) and bucket
+  (``uint8``).  A nominal column takes at most ``listed + 1`` distinct
+  ranks, so when its domain has at most :data:`NUM_BUCKETS` of them
+  the bucket table is *exact* (bucket = position among the distinct
+  ranks, so equal buckets mean equal ranks and the refine only has
+  the unlisted-value tie left to reject there); longer preferences
+  fall back to quantile cuts over the column's ranks.  There is no whole-matrix
+  rank remap and no transpose per query, and nothing whole-context is
+  cached: the serving layer compiles a fresh ``RankTable`` per query,
+  so a context cache keyed on the table would never hit.
+
+The sweep then maintains, per dimension ``j``, a **threshold bitmap**
+over the accepted window::
 
     tb[j][k]   (a row of uint64 words / one python int)
     bit t set  iff  accepted point t has bucket_j <= k
 
-Accepted points are numbered in acceptance (= score) order, strongest
+Accepted points are numbered in acceptance (= visit) order, strongest
 first.  For a candidate ``c`` the word-wise AND
 
     m = tb[0][bucket_0(c)] & tb[1][bucket_1(c)] & ... & tb[d-1][...]
@@ -32,6 +54,27 @@ words are *refined* exactly, lowest bit first (the strongest accepts
 kill fastest), with the same semantics as every other backend: the
 nominal rank-tie/value-inequality clause blocks dominance, and
 strictness falls back to row equality on score ties.
+
+Visit order
+-----------
+Candidates are visited in ascending score, with equal-score runs
+ordered lexicographically by rank vector
+(:func:`~repro.engine.numpy_backend.score_order`; an unstable introsort
+plus one tie pass).  Claim: if ``a`` dominates ``b``, ``a`` is visited
+first.  Proof: dominance gives ``rank_j(a) <= rank_j(b)`` on every
+dimension (universal: the canonical float is smaller-or-equal;
+nominal: strictly preferred means a smaller rank, and equal values
+share one) and ``rank_j(a) < rank_j(b)`` on some dimension.  The score
+is the same float sum over every row, and IEEE addition is monotone in
+each operand, so ``score(a) <= score(b)``.  If the scores differ, ``a``
+sorts first.  If rounding made them equal (``2**53 + 1.0 == 2**53``),
+the tie pass compares rank vectors; ``a``'s is <= on every dimension
+and < on one, so it is lexicographically smaller and ``a`` again sorts
+first.  Rows with equal score *and* equal rank vector keep their input
+order (the tie pass repairs the introsort's instability), and they
+never dominate each other anyway: dominance needs a strictly smaller
+rank somewhere.  Hence every accepted point is final when accepted, as
+the accept-then-sweep loop requires.
 
 Window shrinking
 ----------------
@@ -60,6 +103,8 @@ Tiers
   python ints - one ``&`` per dimension still evaluates the whole
   window - so the backend is *always available* and observationally
   equivalent on every tier (enforced by the differential oracle).
+  This tier quantizes per call into :data:`PY_NUM_BUCKETS` quantile
+  levels; the per-store split above is the NumPy tier's.
 
 Primitive kernels delegate to the numpy / python reference backends;
 only the composite ``skyline`` and the batched ``dominated_any``
@@ -73,7 +118,19 @@ from typing import List, Optional, Sequence
 
 from repro.engine._bitset_kernel import load_kernel
 from repro.engine.base import Backend
-from repro.engine.columnar import numpy_available, require_numpy
+from repro.engine.columnar import (
+    ColumnarStore,
+    numpy_available,
+    require_numpy,
+)
+from repro.engine.numpy_backend import (
+    NumpyBackend,
+    _Cols,
+    _dominated_any,
+    _dominates_matrix,
+    nominal_flags,
+    score_order,
+)
 from repro.engine.python_backend import PythonBackend
 from repro.exceptions import EngineError
 
@@ -103,35 +160,85 @@ _FIRST_STAGE_WORDS = 1
 # ---------------------------------------------------------------------------
 
 
+def _quantile_cuts(np, column):
+    """At most ``NUM_BUCKETS - 1`` monotone cuts from a strided sample."""
+    sample = np.sort(column[:: max(1, column.shape[0] // _SAMPLE)])
+    if not sample.size:
+        return np.empty(0, dtype=np.float64)
+    positions = (np.arange(1, NUM_BUCKETS) * sample.size) // NUM_BUCKETS
+    return np.unique(sample[positions])
+
+
+class _StorePack:
+    """The preference-independent half of the packing, for one store.
+
+    ``numeric_buckets`` holds the ``uint8`` bucket rows of the numeric
+    dimensions (their ranks are the store's canonical floats, so the
+    cuts never change between queries); ``keys_t`` the nominal value
+    ids, transposed and contiguous, ready for the per-query gathers.
+    """
+
+    __slots__ = ("store", "numeric", "numeric_buckets", "nominal", "keys_t")
+
+    def __init__(self, np, store) -> None:
+        nominal = tuple(sorted(store.nominal_dims))
+        self.store = store
+        self.nominal = nominal
+        self.numeric = tuple(
+            j for j in range(store.num_dims) if j not in nominal
+        )
+        values_t = store.matrix_t
+        self.numeric_buckets = np.empty(
+            (len(self.numeric), len(store)), dtype=np.uint8
+        )
+        for k, j in enumerate(self.numeric):
+            self.numeric_buckets[k] = np.searchsorted(
+                _quantile_cuts(np, values_t[j]), values_t[j], side="right"
+            )
+        self.keys_t = np.ascontiguousarray(
+            store.keys[:, list(nominal)].T, dtype=np.intp
+        )
+
+
+def _nominal_bucket_lut(np, rank_lut, ranks):
+    """Value id -> bucket of one nominal dimension.
+
+    Exact levels (position among the domain's distinct ranks) when
+    there are at most :data:`NUM_BUCKETS` of them, else quantile cuts
+    over the column's gathered ``ranks``.
+    """
+    levels = np.unique(rank_lut)
+    if levels.size <= NUM_BUCKETS:
+        return np.searchsorted(levels, rank_lut).astype(np.uint8)
+    return np.searchsorted(
+        _quantile_cuts(np, ranks), rank_lut, side="right"
+    ).astype(np.uint8)
+
+
 class _BitsetContext:
     """A numpy context (duck-typing ``_NumpyContext``) plus packing.
 
     Carries the transposed rank/value matrices, scores and nominal
     flags exactly as the numpy backend's context does - the delegated
-    primitive kernels run on it unchanged - plus the per-dimension
-    quantile cuts and the ``(d, n) uint8`` bucket matrix.
+    primitive kernels run on it unchanged - plus the ``(d, n) uint8``
+    bucket matrix.
     """
 
     __slots__ = (
-        "ranks", "ranks_t", "values_t", "scores", "nominal", "table",
-        "np", "buckets_t", "cuts", "full_order",
+        "ranks_t", "values_t", "scores", "nominal", "table", "np",
+        "buckets_t",
     )
 
-    def __init__(self, inner, buckets_t, cuts) -> None:
-        self.ranks = inner.ranks
-        self.ranks_t = inner.ranks_t
-        self.values_t = inner.values_t
-        self.scores = inner.scores
-        self.nominal = inner.nominal
-        self.table = inner.table
-        self.np = inner.np
+    def __init__(
+        self, ranks_t, values_t, scores, nominal, table, np, buckets_t
+    ) -> None:
+        self.ranks_t = ranks_t
+        self.values_t = values_t
+        self.scores = scores
+        self.nominal = nominal
+        self.table = table
+        self.np = np
         self.buckets_t = buckets_t
-        self.cuts = cuts
-        #: Score order of the *complete* id set, materialised on first
-        #: full-set skyline and reused while the context lives (the
-        #: score permutation is a pure function of (table, store), like
-        #: the rank remap the table already caches).
-        self.full_order = None
 
 
 class _AcceptState:
@@ -236,8 +343,6 @@ def _numpy_sweep(np, state: _AcceptState, nominal, ctx, sel,
     exact staged scan over the matching accept slice.  Returns the
     per-candidate dead mask aligned with ``sel``.
     """
-    from repro.engine.numpy_backend import _Cols, _dominated_any
-
     dead = np.zeros(sel.shape[0], dtype=bool)
     if not sel.shape[0] or t1 <= t0:
         return dead
@@ -375,10 +480,6 @@ class BitsetBackend(Backend):
 
     name = "bitset"
 
-    #: Bound on the per-instance packing cache (mirrors
-    #: :attr:`RankTable.REMAP_CACHE_SIZE`).
-    PACK_CACHE_SIZE = 4
-
     def __init__(self, packed: str = "auto", kernel: str = "auto") -> None:
         if packed not in ("auto", "numpy", "python"):
             raise EngineError(
@@ -394,8 +495,6 @@ class BitsetBackend(Backend):
         self.packed = packed
         self.vectorized = packed == "numpy"
         if self.vectorized:
-            from repro.engine.numpy_backend import NumpyBackend
-
             self._inner: Backend = NumpyBackend()
             self._sweep, self._kernel_status = (
                 load_kernel() if kernel == "auto" else (None, "disabled")
@@ -405,7 +504,9 @@ class BitsetBackend(Backend):
             self._sweep, self._kernel_status = (
                 None, "python-int tier (compiled kernel needs NumPy)"
             )
-        self._pack_cache: dict = {}
+        #: The last store's :class:`_StorePack` (one slot: a service
+        #: scans one store per dataset version).
+        self._store_pack: Optional[_StorePack] = None
 
     def availability_detail(self) -> str:
         """One-line tier report for the registry's status surface."""
@@ -425,48 +526,36 @@ class BitsetBackend(Backend):
         if not self.vectorized:
             return _PyBitsetContext(rows, table)
         np = require_numpy()
-        # Whole contexts are cached per (table, store): both are
-        # immutable, so the packed columns, the rank remap AND the
-        # materialised score order all stay valid for the pair's
-        # lifetime (same contract as RankTable's remap cache).
-        key = (
-            (id(table), id(store))
-            if store is not None and len(store) == len(rows)
-            else None
+        if store is not None and len(store) == len(rows):
+            pack = self._store_pack
+            if pack is None or pack.store is not store:
+                pack = self._store_pack = _StorePack(np, store)
+        else:  # a throwaway store: pack it without evicting the slot
+            pack = _StorePack(np, ColumnarStore.from_rows(
+                rows, table.schema.nominal_indices, num_dims=len(table.schema)
+            ))
+        store = pack.store
+        values_t = store.matrix_t
+        shape = (store.num_dims, len(store))
+        ranks_t = np.empty(shape, dtype=np.float64)
+        buckets_t = np.empty(shape, dtype=np.uint8)
+        for k, j in enumerate(pack.numeric):
+            ranks_t[j] = values_t[j]
+            buckets_t[j] = pack.numeric_buckets[k]
+        # Value ids always index their domain's LUT, so "clip" never
+        # clips; it only spares the copy "raise" makes of ``out``.
+        for k, j in enumerate(pack.nominal):
+            rank_lut = np.asarray(table.nominal_lut(j), dtype=np.float64)
+            keys = pack.keys_t[k]
+            np.take(rank_lut, keys, out=ranks_t[j], mode="clip")
+            np.take(
+                _nominal_bucket_lut(np, rank_lut, ranks_t[j]), keys,
+                out=buckets_t[j], mode="clip",
+            )
+        return _BitsetContext(
+            ranks_t, values_t, ranks_t.sum(axis=0), nominal_flags(table),
+            table, np, buckets_t,
         )
-        if key is not None:
-            hit = self._pack_cache.get(key)
-            if hit is not None and hit[0] is table and hit[1] is store:
-                return hit[2]
-        inner = self._inner.prepare(rows, table, store=store)
-        buckets_t, cuts = self._pack(np, inner.ranks_t)
-        ctx = _BitsetContext(inner, buckets_t, cuts)
-        if key is not None:
-            self._pack_cache[key] = (table, store, ctx)
-            while len(self._pack_cache) > self.PACK_CACHE_SIZE:
-                self._pack_cache.pop(next(iter(self._pack_cache)), None)
-        return ctx
-
-    def _pack(self, np, ranks_t):
-        """Quantile cuts + the ``(d, n) uint8`` bucket matrix."""
-        num_dims, n = ranks_t.shape
-        buckets_t = np.empty((num_dims, n), dtype=np.uint8)
-        cuts = []
-        stride = max(1, n // _SAMPLE)
-        for j in range(num_dims):
-            sample = np.sort(ranks_t[j, ::stride])
-            if sample.size:
-                positions = (
-                    np.arange(1, NUM_BUCKETS) * sample.size
-                ) // NUM_BUCKETS
-                dim_cuts = np.unique(sample[positions])
-            else:
-                dim_cuts = np.empty(0, dtype=np.float64)
-            cuts.append(dim_cuts)
-            buckets_t[j] = np.searchsorted(
-                dim_cuts, ranks_t[j], side="right"
-            ).astype(np.uint8)
-        return buckets_t, cuts
 
     # -- delegating primitive kernels --------------------------------------
     def scores(self, ctx, ids: Sequence[int]) -> List[float]:
@@ -538,22 +627,11 @@ class BitsetBackend(Backend):
         )
 
     def _skyline_numpy(self, ctx, ids: Sequence[int]) -> List[int]:
-        from repro.engine.numpy_backend import _Cols, _dominates_matrix
-
         np = ctx.np
         idx = self._inner._ids_array(ctx, ids)
         if idx.size == 0:
             return []
-        n_all = ctx.scores.shape[0]
-        if idx.size == n_all and (idx == np.arange(n_all)).all():
-            # Full-set scan: materialise the score order once per
-            # context (see _BitsetContext.full_order).
-            if ctx.full_order is None:
-                ctx.full_order = np.argsort(ctx.scores, kind="stable")
-            sorted_ids = ctx.full_order
-        else:
-            order = np.argsort(ctx.scores[idx], kind="stable")
-            sorted_ids = idx[order]
+        sorted_ids = score_order(np, ctx, idx)  # see "Visit order"
         num_dims = len(ctx.nominal)
         nominal_u8 = np.asarray(ctx.nominal, dtype=np.uint8)
         state = _AcceptState(np, num_dims)
@@ -608,7 +686,7 @@ class BitsetBackend(Backend):
         nominal_u8 = np.asarray(ctx.nominal, dtype=np.uint8)
         # Strongest-first window: the early words kill the bulk, so the
         # staged scan below resolves most targets in its first words.
-        a_sorted = a_idx[np.argsort(ctx.scores[a_idx], kind="stable")]
+        a_sorted = a_idx[np.argsort(ctx.scores[a_idx])]
         state = _AcceptState(np, num_dims, capacity=a_sorted.size)
         state.extend(*self._gather_block(np, ctx, a_sorted))
         dead = np.zeros(t_idx.size, dtype=bool)
@@ -651,13 +729,8 @@ class BitsetBackend(Backend):
         return dead.tolist()
 
     # -- python-int tier ---------------------------------------------------
-    def _sorted_by_score(self, ctx, ids: Sequence[int]) -> List[int]:
-        score = ctx.table.score
-        rows = ctx.rows
-        return sorted(ids, key=lambda i: score(rows[i]))
-
     def _skyline_python(self, ctx, ids: Sequence[int]) -> List[int]:
-        sorted_ids = self._sorted_by_score(ctx, ids)
+        sorted_ids = self.sort_by_score(ctx, ids)
         if not sorted_ids:
             return []
         cuts = _py_cuts(sorted_ids, ctx)
@@ -685,7 +758,7 @@ class BitsetBackend(Backend):
         target_list = list(targets)
         if not target_list:
             return []
-        against_sorted = self._sorted_by_score(ctx, against)
+        against_sorted = self.sort_by_score(ctx, against)
         if not against_sorted:
             return [False] * len(target_list)
         cuts = _py_cuts(against_sorted, ctx)

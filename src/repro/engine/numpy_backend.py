@@ -29,15 +29,16 @@ incomparable, so their rank tie satisfies neither branch and blocks
 dominance in both directions.  ``a`` dominates ``b`` iff it is
 not-worse on every dimension and strictly better somewhere; given
 not-worse everywhere, strictness reduces to "the rows are not
-identical", and since the score is strictly monotone under dominance, a
-*score difference* already certifies it.  Only score-tied pairs (equal
-rows, or sums that collide after float rounding) take the exact
+identical", and since identical rows have identical scores, a *score
+difference* already certifies it.  Only score-tied pairs (equal rows,
+or sums that collide after float rounding) take the exact
 all-dimensions equality fallback.
 
 Skyline kernel
 --------------
 ``skyline`` is SFS executed accept-then-sweep: presort by score
-(vectorized row sums + one argsort), take the best-scored undecided
+(vectorized row sums + one argsort, equal-score runs ordered by rank
+vector - see :func:`score_order`), take the best-scored undecided
 *batch*, resolve it pairwise in one shot (sound because dominance is
 transitive: "dominated by any surviving peer" equals "dominated by any
 skyline peer"), then kill everything the accepted points dominate in
@@ -86,20 +87,23 @@ _SHRINK_MIN_REMAINING = 64
 class _NumpyContext:
     """Transposed ranks/values + scores for one (rows, table) pair."""
 
-    __slots__ = (
-        "ranks", "ranks_t", "values_t", "scores", "nominal", "table", "np",
-    )
+    __slots__ = ("ranks_t", "values_t", "scores", "nominal", "table", "np")
 
-    def __init__(
-        self, ranks, ranks_t, values_t, scores, nominal, table, np
-    ) -> None:
-        self.ranks = ranks
+    def __init__(self, ranks_t, values_t, scores, nominal, table, np) -> None:
         self.ranks_t = ranks_t
         self.values_t = values_t
         self.scores = scores
         self.nominal = nominal  # per-dimension bool flags
         self.table = table
         self.np = np
+
+
+def nominal_flags(table) -> List[bool]:
+    """Per-dimension "is nominal" flags of ``table``'s schema."""
+    nominal = [False] * len(table.schema)
+    for dim in table.schema.nominal_indices:
+        nominal[dim] = True
+    return nominal
 
 
 class _Cols:
@@ -120,6 +124,43 @@ class _Cols:
         return _Cols(
             self.ranks[:, sel], self.values[:, sel], self.scores[sel]
         )
+
+
+def score_order(np, ctx, idx):
+    """``idx`` (an id array) in SFS visit order.
+
+    One introsort of the scores, then one pass for equal neighbours.
+    Runs of equal scores are re-sorted lexicographically by rank
+    vector: a float sum can round a dominator's score up to its
+    victim's, but the dominator's rank vector is <= on every dimension
+    and < on one, hence lexicographically smaller, so every dominator
+    still precedes the points it dominates (the order the SFS scan and
+    the D&C merge rely on).  Rows left tied share score and rank vector
+    and never dominate each other; they keep their input order, so the
+    result equals the python backend's stable sort.
+    """
+    scores = ctx.scores[idx]
+    order = np.argsort(scores)
+    sorted_ids = idx[order]
+    sorted_scores = scores[order]
+    tied = sorted_scores[1:] == sorted_scores[:-1]
+    if tied.any():
+        starts = np.ones(sorted_ids.size, dtype=bool)
+        starts[1:] = ~tied
+        in_run = np.zeros(sorted_ids.size, dtype=bool)
+        in_run[1:] = tied
+        in_run[:-1] |= tied
+        pos = np.flatnonzero(in_run)
+        sub = sorted_ids[pos]
+        # lexsort's last key is the primary one: run id, dimension 0,
+        # 1, ..., input position (runs are contiguous, so sorting by
+        # run first keeps every row inside its own run's positions).
+        num_dims = ctx.ranks_t.shape[0]
+        keys = [order[pos]]
+        keys.extend(ctx.ranks_t[j, sub] for j in range(num_dims - 1, -1, -1))
+        keys.append(np.cumsum(starts)[pos])
+        sorted_ids[pos] = sub[np.lexsort(keys)]
+    return sorted_ids
 
 
 def _dominates_matrix(np, nominal, a: _Cols, b: _Cols):
@@ -281,11 +322,8 @@ class NumpyBackend(Backend):
         ranks = table.remap_columns(store)
         ranks_t = np.ascontiguousarray(ranks.T)
         scores = ranks.sum(axis=1)
-        nominal = [False] * len(table.schema)
-        for dim in table.schema.nominal_indices:
-            nominal[dim] = True
         return _NumpyContext(
-            ranks, ranks_t, store.matrix_t, scores, nominal, table, np
+            ranks_t, store.matrix_t, scores, nominal_flags(table), table, np
         )
 
     def _ids_array(self, ctx, ids):
@@ -324,8 +362,7 @@ class NumpyBackend(Backend):
         idx = self._ids_array(ctx, ids)
         if idx.size == 0:
             return []
-        order = ctx.np.argsort(ctx.scores[idx], kind="stable")
-        return idx[order].tolist()
+        return score_order(ctx.np, ctx, idx).tolist()
 
     # -- dominance --------------------------------------------------------
     def dominates_mask(self, ctx, p: int, block: Sequence[int]) -> List[bool]:
@@ -421,8 +458,7 @@ class NumpyBackend(Backend):
         idx = self._ids_array(ctx, ids)
         if idx.size == 0:
             return []
-        order = np.argsort(ctx.scores[idx], kind="stable")
-        sorted_ids = idx[order]
+        sorted_ids = score_order(np, ctx, idx)
         everything = self._cols(ctx, sorted_ids)
 
         remaining = np.arange(sorted_ids.size)
@@ -451,4 +487,4 @@ class NumpyBackend(Backend):
 
     def dim_ranks(self, ctx, ids: Sequence[int], dim: int) -> List[float]:
         idx = self._ids_array(ctx, ids)
-        return ctx.ranks[idx, dim].tolist()
+        return ctx.ranks_t[dim, idx].tolist()

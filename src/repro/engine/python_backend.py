@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+from repro.core.dominance import score_sorted
 from repro.engine.base import Backend
 
 
@@ -45,8 +46,14 @@ class PythonBackend(Backend):
 
     def sort_by_score(self, ctx, ids: Sequence[int]) -> List[int]:
         score = ctx.table.score
+        rank_vector = ctx.table.rank_vector
         rows = ctx.rows
-        return sorted(ids, key=lambda i: score(rows[i]))
+        return [
+            i for _score, i in score_sorted(
+                ((score(rows[i]), i) for i in ids),
+                lambda i: rank_vector(rows[i]),
+            )
+        ]
 
     # -- dominance --------------------------------------------------------
     def dominates_mask(self, ctx, p: int, block: Sequence[int]) -> List[bool]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.algorithms.bruteforce import bruteforce_skyline
 from repro.core.attributes import Schema, nominal, numeric_min
 from repro.core.dataset import Dataset
 from repro.core.dominance import RankTable
@@ -203,6 +204,39 @@ class TestPackingInvariants:
             ranks = ctx.ranks_t[j, order]
             same = ranks[1:] == ranks[:-1]
             assert (buckets[1:][same] == buckets[:-1][same]).all()
+            if ctx.nominal[j]:
+                # Short nominal preferences get exact levels: distinct
+                # ranks never share a bucket.
+                assert (buckets[1:][~same] != buckets[:-1][~same]).all()
+
+    def test_long_nominal_preference_falls_back_to_quantile_cuts(self):
+        import numpy as np
+
+        from repro.engine.bitset_backend import NUM_BUCKETS
+
+        domain = tuple(f"v{i}" for i in range(100))
+        schema = Schema([numeric_min("x"), nominal("A", domain)])
+        rows = [
+            ((i * 7919) % 997, domain[(i * 31) % 100]) for i in range(3000)
+        ]
+        dataset = Dataset(schema, rows)
+        # 80 listed values + the shared default rank: 81 distinct ranks,
+        # too many for exact levels.
+        table = RankTable.compile(
+            schema,
+            Preference({"A": ImplicitPreference(domain[:80][::-1])}),
+        )
+        reference = get_backend("python")
+        expected = set(bruteforce_skyline(
+            dataset.canonical_rows, dataset.ids, table, backend=reference
+        ))
+        for label, backend in _variants():
+            ctx = _contexts(backend, dataset, table)
+            if backend.vectorized:
+                assert np.unique(ctx.ranks_t[1]).size > NUM_BUCKETS
+                assert np.unique(ctx.buckets_t[1]).size <= NUM_BUCKETS
+            got = set(backend.skyline(ctx, list(dataset.ids)))
+            assert got == expected, label
 
     def test_threshold_bitmap_is_cumulative(self):
         import numpy as np
@@ -334,19 +368,86 @@ class TestConstructionAndStatus:
             get_backend("bitst")
 
     @needs_numpy
-    def test_prepared_context_cached_per_table_and_store(self):
+    def test_numeric_packing_shared_across_tables(self):
+        import numpy as np
+
         dataset, table = _workload(300, seed=2)
+        other = RankTable.compile(dataset.schema, None)
         backend = make_bitset_backend(packed="numpy")
         first = backend.prepare(
             dataset.canonical_rows, table, store=dataset.columns
         )
+        pack = backend._store_pack
         second = backend.prepare(
-            dataset.canonical_rows, table, store=dataset.columns
+            dataset.canonical_rows, other, store=dataset.columns
         )
-        assert first is second
-        # Without a store there is no safe cache key: fresh context.
-        third = backend.prepare(dataset.canonical_rows, table)
-        assert third is not first
+        # One per-store packing serves both preferences: the numeric
+        # bucket array is the very same object, not a recomputation.
+        assert backend._store_pack.numeric_buckets is pack.numeric_buckets
+        numeric = list(pack.numeric)
+        assert numeric
+        assert (first.buckets_t[numeric] == second.buckets_t[numeric]).all()
+        assert not np.shares_memory(first.buckets_t, second.buckets_t)
+        # A store built from loose rows is packed on the side and never
+        # evicts the slot.
+        backend.prepare(dataset.canonical_rows, table)
+        assert backend._store_pack is pack
+
+
+def bruteforce_ids(service, preference):
+    """Brute-force skyline of the served rows, in the live id space."""
+    snap = service.data_snapshot()
+    table = RankTable.compile(snap.schema, preference, service.template)
+    translate = service._dynamic.snapshot_ids()
+    return tuple(sorted(
+        translate[i] for i in bruteforce_skyline(
+            snap.canonical_rows, snap.ids, table, backend="python"
+        )
+    ))
+
+
+@needs_numpy
+class TestStorePackAcrossVersions:
+    """The per-store packing is keyed on the store object; every
+    dataset version must be answered from its own packing."""
+
+    def test_forced_route_matches_bruteforce_after_mutations(self):
+        from repro.serve.service import SkylineService
+
+        dataset, _table = _workload(300, seed=31)
+        extra, _ = _workload(60, seed=32)
+        service = SkylineService(
+            dataset, cache_capacity=0, with_tree=False, with_mdc=False,
+            with_adaptive=False,
+        )
+        prefs = [
+            None,
+            Preference({
+                name: ImplicitPreference(
+                    dataset.schema.spec(name).domain[::-1][:2]
+                )
+                for name in dataset.schema.nominal_names
+            }),
+        ]
+
+        def check():
+            for pref in prefs:
+                got = service.query(pref, route="bitset", use_cache=False)
+                assert tuple(got.ids) == bruteforce_ids(service, pref)
+            assert service.bitset._store_pack.store is (
+                service._dynamic.columns
+            )
+
+        service.insert_rows([dataset.row(0)])  # builds the dynamic view
+        check()
+        # Rows that enter the skyline, then a delete of skyline members.
+        service.insert_rows([extra.row(i) for i in range(len(extra))])
+        check()
+        members = service.query(None, route="bitset", use_cache=False).ids
+        service.delete_rows(members[: len(members) // 2])
+        check()
+        service.compact()
+        check()
 
 
 class TestPlannerRoute:

@@ -359,6 +359,58 @@ class TestBorrowedLifetime:
         assert not (_open_fds() - before)
 
 
+@needs_numpy
+class TestBitsetOnBorrowedStore:
+    def test_forced_bitset_route_matches_bruteforce(
+        self, tmp_path, monkeypatch
+    ):
+        """The bitset backend packs a recovered service's mmap'd store
+        once and must still answer every later version exactly."""
+        import repro.storage.snapshot as snapshot_module
+
+        from repro.algorithms.bruteforce import bruteforce_skyline
+        from repro.core.dominance import RankTable
+        from repro.datagen import SyntheticConfig, generate
+
+        monkeypatch.setattr(snapshot_module, "BINARY_PAYLOAD_THRESHOLD", 8)
+        dataset = generate(
+            SyntheticConfig(
+                num_points=200, num_numeric=2, num_nominal=2,
+                cardinality=4, distribution="anticorrelated", seed=41,
+            )
+        )
+        with SkylineService(dataset, storage_dir=tmp_path / "state") as svc:
+            svc.insert_rows([dataset.row(0)])
+            svc.checkpoint()  # the snapshot holds every row: no WAL tail
+        recovered = SkylineService.recover(tmp_path / "state", mmap="require")
+
+        def check():
+            snap = recovered.data_snapshot()
+            table = RankTable.compile(snap.schema, None, recovered.template)
+            translate = recovered._dynamic.snapshot_ids()
+            expected = sorted(
+                translate[i] for i in bruteforce_skyline(
+                    snap.canonical_rows, snap.ids, table, backend="python"
+                )
+            )
+            got = recovered.query(None, route="bitset", use_cache=False)
+            assert list(got.ids) == expected
+            return got.ids
+
+        try:
+            assert recovered._dynamic.base_store is not None
+            members = check()
+            assert recovered.bitset._store_pack.store.matrix is (
+                recovered._dynamic.base_store.matrix
+            )
+            recovered.delete_rows(members[:3])
+            check()
+            recovered.insert_rows([dataset.row(i) for i in range(5, 25)])
+            check()
+        finally:
+            recovered.close()
+
+
 # ---------------------------------------------------------------------------
 # crash ordering: the sidecar fault site
 # ---------------------------------------------------------------------------
