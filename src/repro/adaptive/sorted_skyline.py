@@ -17,6 +17,9 @@ container those operations need:
   of member ids holding it, used to find affected points in output-
   sensitive time (Step 2 of Algorithm 4 - "one possible way is to have
   an index for each nominal dimension").
+
+Each member's canonical row is held by reference, so the list is the
+index's only per-member state: queries read member rows from it.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ class SortedSkylineList:
             dim: {} for dim in self._nominal_dims
         }
         self._score_of: Dict[int, float] = {}
+        self._row_of: Dict[int, Tuple] = {}
 
     # -- container protocol -----------------------------------------------
     def __len__(self) -> int:
@@ -57,6 +61,10 @@ class SortedSkylineList:
         """Current score of a member."""
         return self._score_of[point_id]
 
+    def row_of(self, point_id: int) -> Tuple:
+        """Canonical row of a member."""
+        return self._row_of[point_id]
+
     # -- updates ---------------------------------------------------------
     def insert(self, score: float, point_id: int, row: Tuple) -> None:
         """Insert a member; ``row`` supplies its nominal values."""
@@ -66,6 +74,7 @@ class SortedSkylineList:
         self._scores.insert(pos, score)
         self._ids.insert(pos, point_id)
         self._score_of[point_id] = score
+        self._row_of[point_id] = row
         for dim in self._nominal_dims:
             self._inverted[dim].setdefault(row[dim], set()).add(point_id)
 
@@ -88,10 +97,11 @@ class SortedSkylineList:
             if point_id in self._score_of:
                 raise KeyError(f"point {point_id} appears twice in bulk load")
             self._score_of[point_id] = score
+            self._row_of[point_id] = row
             for dim in self._nominal_dims:
                 self._inverted[dim].setdefault(row[dim], set()).add(point_id)
 
-    def remove(self, point_id: int, row: Tuple) -> float:
+    def remove(self, point_id: int) -> float:
         """Remove a member, returning its score.
 
         The stored score locates the entry in ``O(log n)`` (Section 4.2:
@@ -102,6 +112,7 @@ class SortedSkylineList:
             score = self._score_of.pop(point_id)
         except KeyError:
             raise KeyError(f"point {point_id} not in the list") from None
+        row = self._row_of.pop(point_id)
         pos = bisect.bisect_left(self._scores, score)
         while self._ids[pos] != point_id:
             pos += 1

@@ -156,8 +156,7 @@ class Dataset:
         if self._columns is None:
             if self._store is not None:
                 # Borrowed store: the matrix already exists (possibly as
-                # an mmap) - share the store's cached columnar view so
-                # every consumer hits one rank-remap cache entry.
+                # an mmap) - share the store's cached columnar view.
                 self._columns = self._store.columnar()
                 return self._columns
             from repro.engine.columnar import ColumnarStore

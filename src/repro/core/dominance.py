@@ -61,13 +61,7 @@ class RankTable:
         "preference",
         "_dims",
         "_listed_counts",
-        "_remap_cache",
     )
-
-    #: Bound on the per-table remap cache (see :meth:`remap_columns`).
-    #: A table is normally applied to a single store (the dataset's),
-    #: so one slot suffices; a few spares cover index substructures.
-    REMAP_CACHE_SIZE = 4
 
     def __init__(
         self,
@@ -80,7 +74,6 @@ class RankTable:
         self.preference = preference
         self._dims = dims
         self._listed_counts = listed_counts
-        self._remap_cache: Optional[dict] = None
 
     @classmethod
     def compile(
@@ -263,44 +256,15 @@ class RankTable:
         yet are incomparable (Section 4.2).  Kernels must consult the
         store's ``keys`` matrix and treat "equal rank, different key"
         as blocking dominance in both directions.
-
-        Results are cached per store on this *table instance* (both
-        sides are immutable, so the remap is a pure function of the
-        pair): whoever holds one compiled table and prepares contexts
-        against the same store repeatedly - best-of benchmark repeats,
-        index structures re-driving their template table, a caller
-        alternating backends over one query - pays the gather once.
-        Serving paths that compile a fresh ``RankTable`` per query do
-        *not* hit across queries; their cross-query reuse lives in the
-        serving layer's semantic result cache instead.  The cache holds
-        strong references (bounded at :data:`REMAP_CACHE_SIZE` entries,
-        evicting the oldest), and the returned matrix is read-only;
-        copy before mutating.  Concurrent callers may compute the same
-        entry twice (identical content, harmless); eviction is written
-        defensively so races only shrink the cache.
         """
         from repro.engine.columnar import require_numpy
 
-        cache = self._remap_cache
-        if cache is not None:
-            hit = cache.get(id(columns))
-            if hit is not None and hit[0] is columns:
-                return hit[1]
         np = require_numpy()
         ranks = np.array(columns.matrix, dtype=np.float64, copy=True)
         for dim, table in enumerate(self._dims):
             if table is not None:
                 lut = np.asarray(table, dtype=np.float64)
                 ranks[:, dim] = lut[columns.keys[:, dim]]
-        ranks.setflags(write=False)
-        if cache is None:
-            cache = self._remap_cache = {}
-        cache[id(columns)] = (columns, ranks)
-        while len(cache) > self.REMAP_CACHE_SIZE:
-            try:
-                cache.pop(next(iter(cache)), None)
-            except (RuntimeError, StopIteration):  # concurrent mutation
-                break
         return ranks
 
     def nominal_lut(self, dim: int) -> List[int]:

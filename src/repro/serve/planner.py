@@ -7,7 +7,11 @@ implicit-preference skyline query, each with a different cost shape:
   chains whose values the tree materialised (IPO Tree-k truncates).
 * **Adaptive SFS** (``"adaptive"``) - cost grows with the number of
   *affected* template-skyline members (those holding a re-ranked
-  value); excellent when the query touches rare values.
+  value); excellent when the query touches rare values.  It is a view
+  over the incrementally maintained template skyline
+  (:mod:`repro.updates`), so it also stays exact at O(update) cost
+  under heavy churn, when the materialised indexes go stale faster
+  than their refreshes amortise.
 * **MDC filter** (``"mdc"``) - containment tests over every
   template-skyline member's minimal disqualifying conditions; flat
   cost, supports any value, no per-combination materialisation.
@@ -19,12 +23,6 @@ implicit-preference skyline query, each with a different cost shape:
   dominance kernels (:mod:`repro.engine.bitset_backend`): one bitwise
   AND tests 64 accepted points at once, so on large low-dimensional
   scans it beats the plain numpy kernel.
-* **incremental** (``"incremental"``) - a kernel scan restricted to
-  the *incrementally maintained* template skyline
-  (:mod:`repro.updates`).  Under heavy churn the materialised indexes
-  go stale faster than their refreshes amortise; the per-update
-  maintainer stays exact at O(update) cost, and Theorem 1 licenses
-  answering any template refinement from inside ``SKY(R~)``.
 
 :class:`Planner` encodes that ranking as explicit decision rules over
 *cheap* signals - no route is partially executed to cost it.  Every
@@ -43,7 +41,7 @@ from typing import Dict, Optional, Tuple
 from repro.core.preferences import Preference
 
 #: All routes the planner can emit, in preference order.
-ROUTES = ("incremental", "ipo", "adaptive", "mdc", "bitset", "kernel")
+ROUTES = ("ipo", "adaptive", "mdc", "bitset", "kernel")
 
 
 @dataclass(frozen=True)
@@ -82,10 +80,10 @@ class PlannerConfig:
     bitset_max_dims: int = 8
 
     #: Once the service has seen at least this many row updates per
-    #: served query, it is churn-heavy: queries route to the
-    #: incrementally maintained template skyline (always exact, O(1) to
-    #: keep fresh per update) and the service stops refreshing the
-    #: IPO-tree eagerly (its refresh would run once per update batch
+    #: served query, it is churn-heavy: queries route to Adaptive SFS,
+    #: the view over the incrementally maintained template skyline
+    #: (always exact, cheap to keep fresh per update), and the service
+    #: stops refreshing the IPO-tree eagerly (its refresh would run once per update batch
     #: and never amortise).  Below the ratio, updates are rare enough
     #: that eager index refreshes pay for themselves.
     incremental_update_ratio: float = 0.25
@@ -126,10 +124,6 @@ class PlanSignals:
     #: The service holds a vectorized (numpy-tier) bitset backend for
     #: scan routes; defaulted so older signal producers keep working.
     bitset_available: bool = False
-    #: An :class:`~repro.updates.incremental.IncrementalSkyline`
-    #: maintainer tracks the template skyline (the service has entered
-    #: mutable mode); defaulted so older signal producers keep working.
-    incremental_available: bool = False
     #: Row updates absorbed per query served so far (the churn gate's
     #: input; see ``PlannerConfig.incremental_update_ratio``).
     update_query_ratio: float = 0.0
@@ -165,10 +159,11 @@ class Planner:
 
     1. ``forced_route`` set -> that route (operator override).
     2. Tiny dataset (``rows <= small_dataset_rows``) -> ``kernel``.
-    3. Churn-heavy (a maintainer exists and the update-to-query ratio
-       is at least ``incremental_update_ratio``) -> ``incremental``:
-       scan the maintained template skyline; materialised indexes are
-       stale or paying non-amortising refreshes in this regime.
+    3. Churn-heavy (Adaptive SFS available and the update-to-query
+       ratio is at least ``incremental_update_ratio``) -> ``adaptive``:
+       its view of the maintained template skyline is exact after
+       every update; the other indexes are stale or paying
+       non-amortising refreshes in this regime.
     4. Tree available and every chain value materialised -> ``ipo``.
     5. Adaptive SFS available and the affected fraction is at most
        ``max_affected_fraction`` -> ``adaptive``.
@@ -204,14 +199,14 @@ class Planner:
                 signals,
             )
         if (
-            signals.incremental_available
+            signals.adaptive_available
             and signals.update_query_ratio >= cfg.incremental_update_ratio
         ):
             return Plan(
-                "incremental",
+                "adaptive",
                 f"churn-heavy ({signals.update_query_ratio:.2f} updates "
                 f"per query >= {cfg.incremental_update_ratio:.2f}); "
-                "scanning the incrementally maintained template skyline",
+                "Adaptive SFS views the maintained template skyline",
                 signals,
             )
         if signals.tree_available and signals.tree_covers_query:

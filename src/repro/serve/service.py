@@ -18,8 +18,9 @@ may call :meth:`query` concurrently; the cache and the route counters
 are lock-protected.  Row churn enters through :meth:`insert_rows` /
 :meth:`delete_rows`: the service then shifts into *mutable mode* - the
 dataset is wrapped in a :class:`~repro.updates.dataset.DynamicDataset`,
-the template skyline is kept current by an
-:class:`~repro.updates.incremental.IncrementalSkyline` maintainer, and
+the template skyline is kept current by one
+:class:`~repro.updates.incremental.IncrementalSkyline` maintainer
+(Adaptive SFS is a score-ordered view over it), and
 a writer-preferring read-write lock keeps queries concurrent with each
 other while updates run exclusively.  Semantic-cache entries are
 *revised* per update under a data version counter: inserts patch every
@@ -107,6 +108,8 @@ class _RestoreState:
     tree_stale: bool
     tail: Tuple[dict, ...]
     snapshot_version: int
+    gate_updates: int
+    gate_queries: int
 
 
 def _as_id_tuple(ids) -> Optional[Tuple[int, ...]]:
@@ -655,8 +658,9 @@ class SkylineService:
 
         Under the exclusive write lock the batch is appended to the
         dynamic dataset (validated all-or-nothing), absorbed by the
-        template-skyline and base-skyline maintainers and by Adaptive
-        SFS, and every semantic-cache entry is *patched in place* - an
+        template-skyline and base-skyline maintainers (Adaptive SFS
+        applies the template maintainer's effects), and every
+        semantic-cache entry is *patched in place* - an
         insert's effect on any cached skyline is exact and local (the
         new point joins unless dominated and evicts exactly what it
         dominates), so no entry is dropped.  The IPO-tree is refreshed
@@ -689,8 +693,6 @@ class SkylineService:
             effects = []
             base_changed = False
             for point_id in ids:
-                if self.adaptive is not None:
-                    self.adaptive.insert(dyn.row(point_id))
                 effects.append(self._maintainer.insert(point_id))
                 base_changed |= self._base_maintainer.insert(
                     point_id
@@ -728,8 +730,6 @@ class SkylineService:
             effects = []
             base_changed = False
             for point_id in ids:
-                if self.adaptive is not None:
-                    self.adaptive.delete(point_id)
                 effects.append(self._maintainer.delete(point_id))
                 base_changed |= self._base_maintainer.delete(
                     point_id
@@ -786,8 +786,8 @@ class SkylineService:
             )
             snapshot = dyn.snapshot()
             if self.adaptive is not None:
-                self.adaptive = AdaptiveSFS(
-                    snapshot, self.template, backend=backend
+                self.adaptive = AdaptiveSFS.over(
+                    self._maintainer, self.template
                 )
             if self.tree is not None:
                 self.tree = IPOTree.build(
@@ -907,6 +907,8 @@ class SkylineService:
             tree_stale=bool(document.get("tree_stale")),
             tail=tuple(tail),
             snapshot_version=int(document["data"]["data_version"]),
+            gate_updates=int(document.get("gate_updates", 0)),
+            gate_queries=int(document.get("gate_queries", 0)),
         )
         return cls(
             base,
@@ -1103,6 +1105,8 @@ class SkylineService:
             data = dataset_state(dyn)
             maintained = list(self._maintainer.ids)
             base_sky = list(self._base_maintainer.ids)
+        with self._lock:
+            gate = (self._gate_updates, self._gate_queries)
         return {
             "data": data,
             "template": preference_to_dict(self.template),
@@ -1111,6 +1115,10 @@ class SkylineService:
             "base_skyline": base_sky,
             "tree": tree_to_dict(self.tree) if self.tree is not None else None,
             "tree_stale": self._tree_stale,
+            # The churn gate's window, so a recovered service keeps
+            # routing (and deferring tree refreshes) like this one.
+            "gate_updates": gate[0],
+            "gate_queries": gate[1],
             # No mdc_stale field: recovery always rebuilds the MDC
             # filter fresh from the maintained skylines, so persisted
             # staleness would be dead payload.
@@ -1126,13 +1134,15 @@ class SkylineService:
         The service enters mutable mode directly: the restored dynamic
         dataset carries the snapshot's version/tombstones/compaction
         epoch, the maintainers re-attach from their persisted id lists
-        (skipping the O(n) initial computation), Adaptive SFS is built
-        over the full slot space and then absorbs the tombstones
-        incrementally, the MDC filter is rebuilt fresh over the live
-        rows, and the IPO-tree is deserialised rather than rebuilt.
+        (skipping the O(n) initial computation), Adaptive SFS becomes a
+        view over the template maintainer, the MDC filter is rebuilt
+        fresh over the live rows, the IPO-tree is deserialised rather
+        than rebuilt, and the churn gate resumes its persisted window.
         """
         dyn = restore.dynamic
         self._dynamic = dyn
+        self._gate_updates = restore.gate_updates
+        self._gate_queries = restore.gate_queries
         self._maintainer = IncrementalSkyline(
             dyn,
             None,
@@ -1143,22 +1153,11 @@ class SkylineService:
         self._base_maintainer = IncrementalSkyline(
             dyn, None, backend=self.backend, members=restore.base_skyline
         )
-        self.adaptive = None
-        if with_adaptive:
-            if restore.template_skyline is not None:
-                self.adaptive = AdaptiveSFS.restore(
-                    self.dataset,
-                    self.template,
-                    skyline_ids=restore.template_skyline,
-                    alive=dyn.alive_flags,
-                    backend=self.backend,
-                )
-            else:
-                # Pre-mutation snapshot: no maintained ids were
-                # persisted (and no tombstones exist), build normally.
-                self.adaptive = AdaptiveSFS(
-                    self.dataset, self.template, backend=self.backend
-                )
+        self.adaptive = (
+            AdaptiveSFS.over(self._maintainer, self.template)
+            if with_adaptive
+            else None
+        )
         # Rebuilt from the *live* rows and the maintained skylines, so
         # it is fresh by construction even when the crashed service had
         # let it go stale.
@@ -1210,10 +1209,10 @@ class SkylineService:
         """Apply the committed WAL tail through the normal mutation path.
 
         Each record re-runs the same incremental maintenance it ran
-        before the crash (maintainers, Adaptive SFS, tree refresh,
-        cache revision over the still-empty cache) with WAL logging
-        suppressed - the records are already durable; re-appending them
-        would duplicate history.  Every record's version stamp is
+        before the crash (maintainers, the Adaptive SFS view, tree
+        refresh, cache revision over the still-empty cache) with WAL
+        logging suppressed - the records are already durable;
+        re-appending them would duplicate history.  Every record's version stamp is
         verified against the version the replay actually produced.
         """
         self._replaying = True
@@ -1374,16 +1373,28 @@ class SkylineService:
         )
 
     def _ensure_dynamic(self) -> DynamicDataset:
-        """Enter mutable mode (idempotent); write lock must be held."""
+        """Enter mutable mode (idempotent); write lock must be held.
+
+        With Adaptive SFS built, the template maintainer is seeded from
+        the view's member ids (no fresh template-skyline computation)
+        and the view follows it from here on.
+        """
         if self._dynamic is None:
             self._dynamic = DynamicDataset.from_dataset(self.dataset)
             self._maintainer = IncrementalSkyline(
                 self._dynamic, None,
                 template=self.template, backend=self.backend,
+                members=(
+                    self.adaptive.skyline_ids
+                    if self.adaptive is not None
+                    else None
+                ),
             )
             self._base_maintainer = IncrementalSkyline(
                 self._dynamic, None, backend=self.backend
             )
+            if self.adaptive is not None:
+                self.adaptive.follow(self._maintainer)
         return self._dynamic
 
     def _absorb(
@@ -1404,6 +1415,8 @@ class SkylineService:
         entered: List[int] = []
         evicted: List[int] = []
         for effect in effects:
+            if self.adaptive is not None:
+                self.adaptive.apply(effect)
             entered.extend(effect.entered)
             evicted.extend(effect.evicted)
         dirty = set(entered) | set(evicted)
@@ -1595,7 +1608,6 @@ class SkylineService:
             backend_vectorized=self.backend.vectorized,
             dimensions=len(self.dataset.schema),
             bitset_available=self.bitset is not None,
-            incremental_available=self._maintainer is not None,
             update_query_ratio=self._update_ratio(),
         )
 
@@ -1605,36 +1617,13 @@ class SkylineService:
         """Run one route; every route returns the same sorted id tuple.
 
         In mutable mode the scan routes run over the dynamic dataset's
-        live ids, and ``"incremental"`` scans only the maintained
-        template skyline (exact for any template refinement by Theorem
-        1).  The planner never routes to a stale structure; a *forced*
-        stale route answers from the stale structure by design (the
+        live ids, and ``"adaptive"`` answers from its view of the
+        maintained template skyline (exact for any template refinement
+        by Theorem 1).  The planner never routes to a stale structure;
+        a *forced* stale route answers from the stale structure by design (the
         force exists to inspect exactly that structure) - call
         :meth:`refresh_structures` first when freshness matters.
         """
-        if route == "incremental":
-            if self._maintainer is None:
-                raise ReproError(
-                    "route 'incremental' requested but the service has "
-                    "never been mutated (no skyline maintainer exists)"
-                )
-            table = RankTable.compile(
-                self.dataset.schema, preference, self.template
-            )
-            dyn = self._dynamic
-            return tuple(
-                sorted(
-                    sfs_skyline(
-                        dyn.canonical_rows,
-                        self._maintainer.ids,
-                        table,
-                        backend=self.backend,
-                        store=(
-                            dyn.columns if self.backend.vectorized else None
-                        ),
-                    )
-                )
-            )
         if route == "ipo":
             if self.tree is None:
                 raise ReproError("route 'ipo' requested but no tree was built")
@@ -1714,8 +1703,6 @@ class SkylineService:
     def available_routes(self) -> Tuple[str, ...]:
         """The executable routes given which structures were built."""
         routes = []
-        if self._maintainer is not None:
-            routes.append("incremental")
         if self.tree is not None:
             routes.append("ipo")
         if self.adaptive is not None:

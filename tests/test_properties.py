@@ -19,6 +19,7 @@ from repro.core.dataset import Dataset
 from repro.core.dominance import RankTable
 from repro.core.preferences import ImplicitPreference, Preference
 from repro.core.skyline import skyline
+from repro.engine import get_backend, make_bitset_backend, numpy_available
 from repro.ipo.tree import IPOTree
 
 DOMAIN_A = ("a0", "a1", "a2", "a3")
@@ -246,26 +247,34 @@ class TestAllPathsAgree:
         assert seen == expected
 
 
+updates = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("insert"),
+            st.tuples(
+                st.integers(0, 4),
+                st.integers(0, 4),
+                st.sampled_from(DOMAIN_A),
+                st.sampled_from(DOMAIN_B),
+            ),
+        ),
+        st.tuples(st.just("delete"), st.integers(0, 60)),
+    ),
+    max_size=12,
+)
+
+
+def _backend(name):
+    if name in ("numpy", "bitset") and not numpy_available():
+        pytest.skip("NumPy not installed")
+    if name == "bitset-python":
+        return make_bitset_backend(packed="python")
+    return get_backend(name)
+
+
 class TestIncrementalMaintenance:
     @SETTINGS
-    @given(
-        rows=rows,
-        updates=st.lists(
-            st.one_of(
-                st.tuples(
-                    st.just("insert"),
-                    st.tuples(
-                        st.integers(0, 4),
-                        st.integers(0, 4),
-                        st.sampled_from(DOMAIN_A),
-                        st.sampled_from(DOMAIN_B),
-                    ),
-                ),
-                st.tuples(st.just("delete"), st.integers(0, 60)),
-            ),
-            max_size=12,
-        ),
-    )
+    @given(rows=rows, updates=updates)
     def test_updates_match_rebuild(self, rows, updates):
         data = Dataset(SCHEMA, rows)
         index = AdaptiveSFS(data)
@@ -283,3 +292,32 @@ class TestIncrementalMaintenance:
         incremental = set(index.skyline_ids)
         index.rebuild()
         assert set(index.skyline_ids) == incremental
+
+    @pytest.mark.parametrize(
+        "backend_name", ("python", "numpy", "bitset", "bitset-python")
+    )
+    @SETTINGS
+    @given(rows=rows, updates=updates, pref=preferences())
+    def test_every_query_path_matches_bruteforce(
+        self, backend_name, rows, updates, pref
+    ):
+        """After random churn, the batch query, the progressive scan and
+        the reference scan all equal the oracle over the live rows."""
+        index = AdaptiveSFS(Dataset(SCHEMA, rows), backend=_backend(backend_name))
+        live = dict(enumerate(rows))
+        for action, payload in updates:
+            if action == "insert":
+                live[index.insert(payload)] = payload
+            elif live:
+                victims = sorted(live)
+                victim = victims[payload % len(victims)]
+                del live[victim]
+                index.delete(victim)
+        ids = sorted(live)
+        expected = []
+        if ids:
+            oracle = Dataset(SCHEMA, [live[i] for i in ids])
+            expected = sorted(ids[k] for k in truth(oracle, pref))
+        assert index.query(pref) == expected
+        assert sorted(index.iter_query(pref)) == expected
+        assert index.query_scan(pref) == expected

@@ -125,11 +125,12 @@ def test_every_service_route_survives_score_ties(scenario, backend_name):
         return routes
 
     check_every_route()
-    # A mutation builds the skyline maintainer (the incremental route);
-    # the inserted row is dominated by every other, then deleted.
+    # A mutation hands SKY(R~) to the skyline maintainer, which Adaptive
+    # SFS then follows; the inserted row is dominated by every other,
+    # then deleted.
     report = service.insert_rows([(2**55, 9.0, "a")])
     service.delete_rows(report.point_ids)
-    assert "incremental" in check_every_route()
+    assert "adaptive" in check_every_route()
 
 
 #: Values whose sums collide after rounding (spacing 2 above 2**53).

@@ -210,45 +210,44 @@ class TestTreeAutoBuild:
 
 
 class TestIncrementalGate:
-    """The churn gate routing to the maintained template skyline."""
+    """The churn gate routing to Adaptive SFS, the maintained view."""
 
-    def test_churn_heavy_routes_to_incremental(self):
+    def test_churn_heavy_routes_to_adaptive(self):
+        # Many affected members and a covering tree: without the churn
+        # rule this query would go to the IPO-tree.
         plan = Planner().plan(
-            signals(incremental_available=True, update_query_ratio=0.5)
+            signals(affected_members=90, update_query_ratio=0.5)
         )
-        assert plan.route == "incremental"
+        assert plan.route == "adaptive"
         assert "churn-heavy" in plan.reason
 
     def test_low_churn_keeps_index_routes(self):
-        plan = Planner().plan(
-            signals(incremental_available=True, update_query_ratio=0.1)
-        )
+        plan = Planner().plan(signals(update_query_ratio=0.1))
         assert plan.route == "ipo"
 
     def test_requires_a_maintainer(self):
+        """Without Adaptive SFS (the maintainer's view) the churn rule
+        falls through to the remaining rules."""
         plan = Planner().plan(
-            signals(incremental_available=False, update_query_ratio=9.0)
+            signals(adaptive_available=False, update_query_ratio=9.0)
         )
         assert plan.route == "ipo"
 
     def test_tiny_datasets_still_go_to_kernel(self):
         plan = Planner().plan(
-            signals(
-                dataset_rows=10,
-                incremental_available=True,
-                update_query_ratio=9.0,
-            )
+            signals(dataset_rows=10, update_query_ratio=9.0)
         )
         assert plan.route == "kernel"
 
     def test_ratio_threshold_configurable(self):
         eager = Planner(PlannerConfig(incremental_update_ratio=0.0))
-        sig = signals(incremental_available=True, update_query_ratio=0.0)
-        assert eager.plan(sig).route == "incremental"
+        sig = signals(affected_members=90, update_query_ratio=0.0)
+        assert eager.plan(sig).route == "adaptive"
+        assert "churn-heavy" in eager.plan(sig).reason
         with pytest.raises(ValueError):
             PlannerConfig(incremental_update_ratio=-0.1)
 
-    def test_incremental_is_a_known_route(self):
-        assert "incremental" in ROUTES
-        assert PlannerConfig(forced_route="incremental").forced_route == \
-            "incremental"
+    def test_incremental_route_is_gone(self):
+        assert ROUTES == ("ipo", "adaptive", "mdc", "bitset", "kernel")
+        with pytest.raises(ValueError, match="unknown route"):
+            PlannerConfig(forced_route="incremental")

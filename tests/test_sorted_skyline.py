@@ -62,21 +62,21 @@ class TestMembership:
     def test_remove_returns_score(self):
         lst = make_list()
         populate(lst)
-        assert lst.remove(12, ROWS[12]) == 2.1
+        assert lst.remove(12) == 2.1
         assert 12 not in lst
         assert len(lst) == 3
 
     def test_remove_missing_raises(self):
         lst = make_list()
         with pytest.raises(KeyError):
-            lst.remove(5, (0, 0, 0, 0))
+            lst.remove(5)
 
     def test_remove_with_tied_scores_removes_right_entry(self):
         lst = make_list()
         lst.insert(1.0, 1, (0, 0, 0, 0))
         lst.insert(1.0, 2, (0, 0, 1, 1))
         lst.insert(1.0, 3, (0, 0, 2, 2))
-        lst.remove(2, (0, 0, 1, 1))
+        lst.remove(2)
         assert sorted(i for _s, i in lst) == [1, 3]
         assert 2 not in lst
 
@@ -98,7 +98,7 @@ class TestInvertedIndex:
     def test_index_updated_on_remove(self):
         lst = make_list()
         populate(lst)
-        lst.remove(10, ROWS[10])
+        lst.remove(10)
         assert lst.holders_of(2, 0) == {12}
 
     def test_iter_excluding(self):

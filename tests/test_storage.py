@@ -735,6 +735,56 @@ class TestKillAndRecover:
         result = recovered.query(prefs[0], use_cache=False)
         assert result.version == version
 
+    def test_recovered_service_routes_like_the_crashed_one(self, tmp_path):
+        base, template, service, prefs = make_durable_service(tmp_path)
+        live = list(range(len(base)))
+        for pref in prefs:
+            service.query(pref)
+        churn(service, base, 8, seed=23, live=live)  # 20 updates, 6 queries
+        service.checkpoint()  # the gate window rides in the snapshot
+        before = service.query(prefs[0], use_cache=False)
+        assert before.route == "adaptive" and "churn-heavy" in before.reason
+        del service
+
+        recovered = SkylineService.recover(tmp_path / "state")
+        after = recovered.query(prefs[0], use_cache=False)
+        assert after.route == "adaptive" and "churn-heavy" in after.reason
+        assert after.ids == before.ids == oracle(recovered, prefs[0])
+
+    def test_snapshot_without_gate_fields_reads_as_zero(self, tmp_path):
+        base, template, service, prefs = make_durable_service(tmp_path)
+        document = service._durable_state()
+        del document["gate_updates"], document["gate_queries"]
+        restored = SkylineService.from_snapshot(document)
+        assert (restored._gate_updates, restored._gate_queries) == (0, 0)
+
+    def test_adaptive_view_equals_rebuild_through_mutations(self, tmp_path):
+        base, template, service, prefs = make_durable_service(tmp_path)
+
+        def check(svc):
+            view = svc.adaptive.skyline_ids
+            assert view == list(svc._maintainer.ids)
+            svc.adaptive.rebuild()
+            assert svc.adaptive.skyline_ids == view
+            for pref in prefs:
+                got = svc.query(pref, use_cache=False, route="adaptive")
+                assert got.ids == oracle(svc, pref)
+
+        members = service.adaptive.skyline_ids[:3]
+        # Each new row beats one member numerically: evictions.
+        service.insert_rows(
+            [(r[0] - 1, r[1] - 1) + tuple(r[2:]) for r in map(base.row, members)]
+        )
+        check(service)
+        # Deleting members re-admits the rows they shadowed.
+        service.delete_rows(service.adaptive.skyline_ids[:3])
+        check(service)
+        service.compact()
+        check(service)
+        service.delete_rows(service.adaptive.skyline_ids[:2])
+        del service
+        check(SkylineService.recover(tmp_path / "state"))
+
 
 class TestServeCLI:
     def run(self, argv):

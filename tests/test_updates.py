@@ -21,7 +21,7 @@ from repro.datagen import SyntheticConfig, generate
 from repro.datagen.generator import frequent_value_template
 from repro.datagen.queries import generate_preferences
 from repro.engine import available_backends
-from repro.exceptions import DatasetError, ReproError
+from repro.exceptions import DatasetError
 from repro.ipo.tree import IPOTree
 from repro.serve import PlannerConfig, SkylineService
 from repro.updates import DynamicDataset, IncrementalSkyline
@@ -375,21 +375,47 @@ class TestServiceUpdates:
         assert report.cache_retained == out_count
         assert report.cache_patched == 0
 
-    def test_churn_heavy_workload_routes_incremental(self):
+    def test_churn_heavy_workload_routes_adaptive(self):
         base, template, service, prefs = self.make_service(
             planner_config=PlannerConfig(incremental_update_ratio=0.05),
         )
         service.query(prefs[0])
         service.delete_rows([0, 1, 2, 3, 4])
         result = service.query(prefs[1], use_cache=False)
-        assert result.route == "incremental"
+        assert result.route == "adaptive"
+        assert "churn-heavy" in result.reason
         assert result.ids == self.oracle(service, template, prefs[1])
-        assert "incremental" in service.available_routes()
 
-    def test_incremental_route_requires_mutable_mode(self):
-        _base, _template, service, prefs = self.make_service()
-        with pytest.raises(ReproError, match="incremental"):
-            service.query(prefs[0], route="incremental")
+    def test_one_template_skyline_maintainer(self, monkeypatch):
+        """Mutations reach Adaptive SFS only through the maintainer's
+        effects, and the first one recomputes no template skyline."""
+        import repro.updates.incremental as incremental
+        from repro.adaptive.adaptive_sfs import AdaptiveSFS
+
+        base, template, service, prefs = self.make_service()
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the service maintains SKY(R~) once")
+
+        monkeypatch.setattr(AdaptiveSFS, "insert", refuse)
+        monkeypatch.setattr(AdaptiveSFS, "delete", refuse)
+        full_scans = []
+        real = incremental.sfs_skyline
+
+        def spy(rows, ids, table, **kwargs):
+            if len(ids) == len(base):
+                full_scans.append(table.preference.order)
+            return real(rows, ids, table, **kwargs)
+
+        monkeypatch.setattr(incremental, "sfs_skyline", spy)
+        member = service.adaptive.skyline_ids[0]
+        service.delete_rows([member])
+        service.insert_rows([base.row(member)])
+        # Only the template-free base maintainer started from scratch.
+        assert template.order > 0 and full_scans == [0]
+        for pref in prefs:
+            got = service.query(pref, use_cache=False, route="adaptive")
+            assert got.ids == self.oracle(service, template, pref)
 
     def test_compact_remaps_and_stays_exact(self):
         base, template, service, prefs = self.make_service()
@@ -424,7 +450,8 @@ class TestServiceUpdates:
         result = service.query(prefs[0])
         assert result.version == 0
         assert service.version == 0
-        assert "incremental" not in service.available_routes()
+        # No mutation, so no mutable-mode state was built.
+        assert service._dynamic is None and service._maintainer is None
         assert service.compact() == {}
 
 
@@ -463,10 +490,12 @@ class TestReviewRegressions:
         )[0]
         service.query(pref)
         service.delete_rows(list(range(10)))  # ratio far above the gate
-        assert service.query(pref, use_cache=False).route == "incremental"
+        result = service.query(pref, use_cache=False)
+        assert result.route == "adaptive"
+        assert "churn-heavy" in result.reason
         service.refresh_structures()
         result = service.query(pref, use_cache=False)
-        assert result.route != "incremental"  # gate window was reset
+        assert "churn-heavy" not in result.reason  # gate window was reset
 
     def test_gate_window_decays_lifetime_history(self):
         base = generate(
