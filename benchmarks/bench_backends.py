@@ -5,7 +5,7 @@ Measures the end-to-end SFS skyline (presort + scan) over synthetic
 workloads at n up to 1M with d = 6 (3 numeric anti-correlated
 dimensions - the paper's Table 4 default - plus 3 nominal Zipfian
 dimensions, full-order preference on each nominal attribute so the
-partial order exercises the rank-remap path), using the
+partial order exercises the nominal rank gathers), using the
 :mod:`repro.bench.measure` machinery.
 
 Three backends are compared per size:
@@ -33,13 +33,14 @@ it is warmed before the clock starts, exactly as a serving deployment
 would see it.  Two timings per vectorized backend:
 
 * ``*_seconds`` (warm) reuse one compiled table across repeats; the
-  rank remap is still recomputed per repeat (tables cache nothing);
+  per-query prepare (one rank gather per nominal column) still runs
+  per repeat (tables cache nothing);
 * ``*_cold_seconds`` compile a fresh ``RankTable`` per repeat (outside
   the clock), as the serving layer does per query.
-  The bitset backend's per-store packing (numeric buckets, transposed
-  value ids) is already built by then, exactly as in a service that
-  has answered one scan.  ``bitset_cold_over_numpy_cold`` is the
-  ratio a served query sees.
+  Everything derived from the store alone (its transposed matrix and
+  value ids, the bitset backend's numeric bucket rows) is already
+  built by then, exactly as in a service that has answered one scan.
+  ``bitset_cold_over_numpy_cold`` is the ratio a served query sees.
 """
 
 from __future__ import annotations
@@ -136,10 +137,10 @@ def run(sizes, repeats: int, python_cap: int) -> Dict:
             "preference": "full order per nominal attribute",
             "repeats": repeats,
             "python_cap": python_cap,
-            "timing": "best of repeats; columnar store warmed; warm "
-            "columns reuse one table (rank remap recomputed per "
-            "repeat), *_cold_seconds compile a fresh table per repeat "
-            "as a served query does",
+            "timing": "best of repeats; columnar store and its "
+            "per-store arrays warmed; warm columns reuse one table "
+            "(nominal rank gathers rerun per repeat), *_cold_seconds "
+            "compile a fresh table per repeat as a served query does",
         },
         "python": platform.python_version(),
         "bitset_status": str(backend_status("bitset")),

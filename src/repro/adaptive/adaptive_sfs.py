@@ -70,6 +70,7 @@ from repro.core.dataset import Dataset, Row
 from repro.core.dominance import RankTable, score_sorted
 from repro.core.preferences import Preference
 from repro.engine import resolve_backend
+from repro.engine.columnar import ColumnarStore
 from repro.updates.dataset import DynamicDataset
 from repro.updates.incremental import IncrementalSkyline, UpdateEffect
 
@@ -193,9 +194,9 @@ class AdaptiveSFS:
         query_table, affected = self._affected(preference)
         if not affected:
             return self.skyline_ids
-        ids, rows, position = self._member_pack()
+        ids, store, position = self._member_pack()
         backend = self._backend
-        ctx = backend.prepare(rows, query_table)
+        ctx = backend.prepare(store.matrix, query_table, store=store)
         kept = backend.skyline(ctx, [position[i] for i in affected])
         unaffected = [k for k, i in enumerate(ids) if i not in affected]
         dominated = backend.dominated_any(ctx, unaffected, kept)
@@ -203,17 +204,24 @@ class AdaptiveSFS:
         return sorted(ids[k] for k in kept)
 
     def _member_pack(self) -> tuple:
-        """``(ids, rows, id -> position)`` of the members, cached.
+        """``(ids, columnar store of their rows, id -> position)`` of the
+        members, cached.
 
         Rebuilt lazily after a membership change; concurrent queries
-        may build it twice (identical content, harmless).
+        may build it twice (identical content, harmless).  The store
+        carries the arrays a backend derives per store, so they are
+        built once per membership, not once per query.
         """
         packed = self._packed
         if packed is None:
             ids = self._list.ids_in_order
-            rows = [self._list.row_of(i) for i in ids]
+            store = ColumnarStore.from_rows(
+                [self._list.row_of(i) for i in ids],
+                self.schema.nominal_indices,
+                num_dims=len(self.schema),
+            )
             packed = self._packed = (
-                ids, rows, {i: k for k, i in enumerate(ids)}
+                ids, store, {i: k for k, i in enumerate(ids)}
             )
         return packed
 

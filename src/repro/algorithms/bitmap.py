@@ -48,7 +48,7 @@ def bitmap_skyline(
 
     The bitslice construction first materialises every point's
     comparison key per dimension through the backend's batched
-    ``dim_ranks`` kernel (one vectorized rank-remap pass per column on
+    ``dim_ranks`` kernel (one vectorized rank gather per column on
     the numpy backend, instead of a table lookup per point), then builds
     the ``B_i`` / ``D_i`` bitmaps from those key columns.
     """

@@ -126,8 +126,8 @@ class ColumnStore:
         """This store as a :class:`~repro.engine.columnar.ColumnarStore`.
 
         Requires NumPy; built lazily and cached so every consumer of
-        the same store shares one columnar view (and one rank-remap
-        cache entry per compiled table).
+        the same store shares one columnar view (and the arrays derived
+        from it).
         """
         raise NotImplementedError
 
@@ -301,23 +301,12 @@ class BorrowedColumnStore(ColumnStore):
         return tuple(row)
 
     def columnar(self):
-        """Zero-copy :class:`~repro.engine.columnar.ColumnarStore`.
-
-        The value matrix *is* the mmap; only the int32 nominal
-        tie-break keys are materialized (one vectorized cast per
-        nominal column, paged in on first use).
-        """
+        """Zero-copy :class:`~repro.engine.columnar.ColumnarStore`: its
+        value matrix *is* the mmap."""
         if self._columnar is None:
-            from repro.engine.columnar import ColumnarStore, require_numpy
+            from repro.engine.columnar import ColumnarStore
 
-            np = require_numpy()
-            keys = np.zeros(self._matrix.shape, dtype=np.int32)
-            for dim in self.nominal_dims:
-                keys[:, dim] = self._matrix[:, dim].astype(np.int32)
-            keys.setflags(write=False)
-            self._columnar = ColumnarStore(
-                self._matrix, keys, self.nominal_dims
-            )
+            self._columnar = ColumnarStore(self._matrix, self.nominal_dims)
         return self._columnar
 
     def close(self) -> None:

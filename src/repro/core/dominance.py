@@ -217,14 +217,12 @@ class RankTable:
 
         Returns an ``(len(rows), m)`` float64 matrix: universal
         dimensions pass their canonical floats through, nominal columns
-        are remapped value-id -> rank with one gather per dimension -
-        the list-of-tuples twin of :meth:`remap_columns` for callers
-        holding rows rather than a columnar store (the incremental
-        maintainer's rank matrix syncs whole append blocks through
-        this).  Requires NumPy; rows must be non-empty and rectangular.
-        The caveat of :meth:`remap_columns` applies: equal ranks can
-        hide incomparable unlisted values, so dominance kernels must
-        still consult the raw value ids on rank ties.
+        are remapped value-id -> rank with one gather per dimension
+        (the incremental maintainer's rank matrix syncs whole append
+        blocks through this).  Requires NumPy; rows must be non-empty
+        and rectangular.  Equal ranks can hide incomparable unlisted
+        values (Section 4.2), so dominance kernels must still consult
+        the raw value ids on rank ties.
         """
         from repro.engine.columnar import require_numpy
 
@@ -241,31 +239,6 @@ class RankTable:
                 lut = np.asarray(table, dtype=np.float64)
                 block[:, dim] = lut[block[:, dim].astype(np.int64)]
         return block
-
-    def remap_columns(self, columns):
-        """Apply the compiled table to a whole columnar store at once.
-
-        ``columns`` is a :class:`~repro.engine.columnar.ColumnarStore`
-        over rows of this schema.  Returns a *new* ``(n, m)`` float64
-        rank matrix: universal dimensions keep their canonical floats,
-        nominal columns are remapped value-id -> rank with one gather
-        per dimension.  Requires NumPy.
-
-        The matrix alone is **not** enough for dominance: two distinct
-        unlisted nominal values remap to the same default rank ``c``
-        yet are incomparable (Section 4.2).  Kernels must consult the
-        store's ``keys`` matrix and treat "equal rank, different key"
-        as blocking dominance in both directions.
-        """
-        from repro.engine.columnar import require_numpy
-
-        np = require_numpy()
-        ranks = np.array(columns.matrix, dtype=np.float64, copy=True)
-        for dim, table in enumerate(self._dims):
-            if table is not None:
-                lut = np.asarray(table, dtype=np.float64)
-                ranks[:, dim] = lut[columns.keys[:, dim]]
-        return ranks
 
     def nominal_lut(self, dim: int) -> List[int]:
         """Value id -> rank list of nominal dimension ``dim`` (read only)."""

@@ -16,23 +16,24 @@ a strictly lower rank).  The packing is split by what it depends on:
 
 * **per store** - numeric ranks are the store's canonical floats, the
   same for every preference.  Their quantile cuts (over a strided rank
-  sample) and ``uint8`` bucket rows are computed once per columnar
-  store and reused while the store object lives (an ``is`` check: a
-  store is immutable, every dataset version hands out a new one).  The
-  same record keeps a contiguous transposed copy of the nominal value
-  ids (``store.keys``).
-* **per query** - each nominal column is gathered straight into the
-  ``(d, n)`` rank and bucket matrices through two value-id lookup
-  tables of the compiled preference: rank (``float64``) and bucket
-  (``uint8``).  A nominal column takes at most ``listed + 1`` distinct
-  ranks, so when its domain has at most :data:`NUM_BUCKETS` of them
-  the bucket table is *exact* (bucket = position among the distinct
-  ranks, so equal buckets mean equal ranks and the refine only has
-  the unlisted-value tie left to reject there); longer preferences
-  fall back to quantile cuts over the column's ranks.  There is no whole-matrix
-  rank remap and no transpose per query, and nothing whole-context is
-  cached: the serving layer compiles a fresh ``RankTable`` per query,
-  so a context cache keyed on the table would never hit.
+  sample) and ``uint8`` bucket rows are derived once per columnar store
+  (:meth:`~repro.engine.columnar.ColumnarStore.derived`) and live
+  exactly as long as it does: a store is immutable, every dataset
+  version hands out a new one, and two stores (a dataset's and an
+  Adaptive SFS member store, say) never evict each other.
+* **per query** - the numpy backend's context supplies the ``(d, n)``
+  ranks (its nominal gathers are the only per-query rank step); each
+  nominal bucket row is one more gather of the store's value ids
+  (``nominal_ids_t``) through a value-id -> bucket table of the
+  compiled preference.  A nominal column takes at most ``listed + 1``
+  distinct ranks, so when its domain has at most :data:`NUM_BUCKETS`
+  of them the bucket table is *exact* (bucket = position among the
+  distinct ranks, so equal buckets mean equal ranks and the refine
+  only has the unlisted-value tie left to reject there); longer
+  preferences fall back to quantile cuts over the column's ranks.
+  Nothing whole-context is cached: the serving layer compiles a fresh
+  ``RankTable`` per query, so a context cache keyed on the table would
+  never hit.
 
 The sweep then maintains, per dimension ``j``, a **threshold bitmap**
 over the accepted window::
@@ -114,21 +115,17 @@ representation.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.engine._bitset_kernel import load_kernel
 from repro.engine.base import Backend
-from repro.engine.columnar import (
-    ColumnarStore,
-    numpy_available,
-    require_numpy,
-)
+from repro.engine.columnar import numpy_available, require_numpy
 from repro.engine.numpy_backend import (
     NumpyBackend,
+    _NumpyContext,
     _Cols,
     _dominated_any,
     _dominates_matrix,
-    nominal_flags,
     score_order,
 )
 from repro.engine.python_backend import PythonBackend
@@ -169,35 +166,24 @@ def _quantile_cuts(np, column):
     return np.unique(sample[positions])
 
 
-class _StorePack:
-    """The preference-independent half of the packing, for one store.
+def _bucket_template(store):
+    """``(d, n) uint8`` bucket rows: numeric dimensions filled, nominal
+    ones zero (each query overwrites those).
 
-    ``numeric_buckets`` holds the ``uint8`` bucket rows of the numeric
-    dimensions (their ranks are the store's canonical floats, so the
-    cuts never change between queries); ``keys_t`` the nominal value
-    ids, transposed and contiguous, ready for the per-query gathers.
+    Numeric ranks are the store's canonical floats, so the cuts never
+    change between queries; built once per store via
+    :meth:`~repro.engine.columnar.ColumnarStore.derived`.
     """
-
-    __slots__ = ("store", "numeric", "numeric_buckets", "nominal", "keys_t")
-
-    def __init__(self, np, store) -> None:
-        nominal = tuple(sorted(store.nominal_dims))
-        self.store = store
-        self.nominal = nominal
-        self.numeric = tuple(
-            j for j in range(store.num_dims) if j not in nominal
-        )
-        values_t = store.matrix_t
-        self.numeric_buckets = np.empty(
-            (len(self.numeric), len(store)), dtype=np.uint8
-        )
-        for k, j in enumerate(self.numeric):
-            self.numeric_buckets[k] = np.searchsorted(
+    np = require_numpy()
+    values_t = store.matrix_t
+    template = np.zeros(values_t.shape, dtype=np.uint8)
+    for j in range(store.num_dims):
+        if j not in store.nominal_dims:
+            template[j] = np.searchsorted(
                 _quantile_cuts(np, values_t[j]), values_t[j], side="right"
             )
-        self.keys_t = np.ascontiguousarray(
-            store.keys[:, list(nominal)].T, dtype=np.intp
-        )
+    template.setflags(write=False)
+    return template
 
 
 def _nominal_bucket_lut(np, rank_lut, ranks):
@@ -215,29 +201,16 @@ def _nominal_bucket_lut(np, rank_lut, ranks):
     ).astype(np.uint8)
 
 
-class _BitsetContext:
-    """A numpy context (duck-typing ``_NumpyContext``) plus packing.
+class _BitsetContext(_NumpyContext):
+    """The numpy backend's context plus the ``(d, n) uint8`` bucket
+    matrix; the delegated primitive kernels run on it unchanged."""
 
-    Carries the transposed rank/value matrices, scores and nominal
-    flags exactly as the numpy backend's context does - the delegated
-    primitive kernels run on it unchanged - plus the ``(d, n) uint8``
-    bucket matrix.
-    """
+    __slots__ = ("buckets_t",)
 
-    __slots__ = (
-        "ranks_t", "values_t", "scores", "nominal", "table", "np",
-        "buckets_t",
-    )
-
-    def __init__(
-        self, ranks_t, values_t, scores, nominal, table, np, buckets_t
-    ) -> None:
-        self.ranks_t = ranks_t
-        self.values_t = values_t
-        self.scores = scores
-        self.nominal = nominal
-        self.table = table
-        self.np = np
+    def __init__(self, ctx: _NumpyContext, buckets_t) -> None:
+        super().__init__(
+            ctx.store, ctx.ranks_t, ctx.scores, ctx.nominal, ctx.table, ctx.np
+        )
         self.buckets_t = buckets_t
 
 
@@ -504,9 +477,6 @@ class BitsetBackend(Backend):
             self._sweep, self._kernel_status = (
                 None, "python-int tier (compiled kernel needs NumPy)"
             )
-        #: The last store's :class:`_StorePack` (one slot: a service
-        #: scans one store per dataset version).
-        self._store_pack: Optional[_StorePack] = None
 
     def availability_detail(self) -> str:
         """One-line tier report for the registry's status surface."""
@@ -525,37 +495,18 @@ class BitsetBackend(Backend):
     def prepare(self, rows: Sequence[tuple], table, store=None):
         if not self.vectorized:
             return _PyBitsetContext(rows, table)
-        np = require_numpy()
-        if store is not None and len(store) == len(rows):
-            pack = self._store_pack
-            if pack is None or pack.store is not store:
-                pack = self._store_pack = _StorePack(np, store)
-        else:  # a throwaway store: pack it without evicting the slot
-            pack = _StorePack(np, ColumnarStore.from_rows(
-                rows, table.schema.nominal_indices, num_dims=len(table.schema)
-            ))
-        store = pack.store
-        values_t = store.matrix_t
-        shape = (store.num_dims, len(store))
-        ranks_t = np.empty(shape, dtype=np.float64)
-        buckets_t = np.empty(shape, dtype=np.uint8)
-        for k, j in enumerate(pack.numeric):
-            ranks_t[j] = values_t[j]
-            buckets_t[j] = pack.numeric_buckets[k]
-        # Value ids always index their domain's LUT, so "clip" never
+        ctx = self._inner.prepare(rows, table, store)
+        np, store = ctx.np, ctx.store
+        buckets_t = store.derived(_bucket_template).copy()
+        # Value ids always index their domain's table, so "clip" never
         # clips; it only spares the copy "raise" makes of ``out``.
-        for k, j in enumerate(pack.nominal):
+        for k, j in enumerate(store.nominal_dims):
             rank_lut = np.asarray(table.nominal_lut(j), dtype=np.float64)
-            keys = pack.keys_t[k]
-            np.take(rank_lut, keys, out=ranks_t[j], mode="clip")
             np.take(
-                _nominal_bucket_lut(np, rank_lut, ranks_t[j]), keys,
-                out=buckets_t[j], mode="clip",
+                _nominal_bucket_lut(np, rank_lut, ctx.ranks_t[j]),
+                store.nominal_ids_t[k], out=buckets_t[j], mode="clip",
             )
-        return _BitsetContext(
-            ranks_t, values_t, ranks_t.sum(axis=0), nominal_flags(table),
-            table, np, buckets_t,
-        )
+        return _BitsetContext(ctx, buckets_t)
 
     # -- delegating primitive kernels --------------------------------------
     def scores(self, ctx, ids: Sequence[int]) -> List[float]:

@@ -5,26 +5,28 @@ tuple of row tuples - perfect for the pure-Python reference path, hostile
 to vectorized execution.  :class:`ColumnarStore` is the column-major
 mirror of that encoding:
 
-* ``matrix`` - an ``(n, m)`` float64 array.  Universally ordered
-  dimensions hold their canonical floats (smaller is better); nominal
-  dimensions hold the value id *as a float* so that a compiled
-  :class:`~repro.core.dominance.RankTable` can be applied to the whole
-  column with one gather (``RankTable.remap_columns``).
-* ``keys`` - an ``(n, m)`` int32 array of *tie-break keys*: zero on
-  universally ordered dimensions, the value id on nominal dimensions.
+* ``matrix`` - an ``(n, m)`` float64 array, the store's only copy of
+  the rows.  Universally ordered dimensions hold their canonical floats
+  (smaller is better); nominal dimensions hold the value id *as a
+  float*.
+* ``matrix_t`` - ``matrix`` transposed to ``(m, n)``, the layout the
+  kernels broadcast over and compare values on.
+* ``nominal_ids_t`` - the nominal rows of ``matrix_t`` as integer ids,
+  the index arrays of the per-query rank gathers (one ``np.take``
+  through a compiled :class:`~repro.core.dominance.RankTable`'s
+  value-id -> rank table per nominal dimension).
 
-The ``keys`` matrix is what preserves the paper's partial-order
-semantics under vectorization: after remapping, two *distinct* unlisted
-nominal values share the default rank ``c`` but are **incomparable**
-(Section 4.2), which a rank comparison alone cannot see.  Kernels
-therefore treat "equal rank but different key" as blocking dominance in
-both directions.  On universal dimensions equal floats mean equal
-values, so the constant zero key never blocks anything.
+Ranks alone cannot carry the paper's partial-order semantics: two
+*distinct* unlisted nominal values share the default rank ``c`` but are
+**incomparable** (Section 4.2).  Kernels therefore treat "equal rank but
+different value" as blocking dominance in both directions, reading the
+values from ``matrix_t``.
 
 Stores are immutable once built and are cached per dataset
 (:attr:`repro.core.dataset.Dataset.columns`); one store serves every
-query because value ids are schema-derived, while the per-query rank
-remap is recomputed from it.
+query because value ids are schema-derived.  Everything derived from a
+store alone (the transposes above, a backend's :meth:`~ColumnarStore.derived`
+arrays) is built lazily and lives exactly as long as the store.
 """
 
 from __future__ import annotations
@@ -57,16 +59,19 @@ def require_numpy():
 class ColumnarStore:
     """Column-major canonical encoding of a set of rows.
 
-    Use :meth:`from_rows`; the constructor takes pre-built arrays.
+    Use :meth:`from_rows`; the constructor takes a pre-built matrix.
     """
 
-    __slots__ = ("matrix", "keys", "nominal_dims", "_matrix_t")
+    __slots__ = (
+        "matrix", "nominal_dims", "_matrix_t", "_nominal_ids_t", "_derived",
+    )
 
-    def __init__(self, matrix, keys, nominal_dims: Sequence[int]) -> None:
+    def __init__(self, matrix, nominal_dims: Sequence[int]) -> None:
         self.matrix = matrix
-        self.keys = keys
         self.nominal_dims = tuple(nominal_dims)
         self._matrix_t = None
+        self._nominal_ids_t = None
+        self._derived = {}
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
@@ -97,7 +102,6 @@ class ColumnarStore:
         inferred then).
         """
         np = require_numpy()
-        nominal = tuple(nominal_dims)
         if len(rows):
             matrix = np.asarray(rows, dtype=np.float64)
             if matrix.ndim != 2:  # ragged or non-numeric input
@@ -106,12 +110,8 @@ class ColumnarStore:
                 )
         else:
             matrix = np.empty((0, num_dims), dtype=np.float64)
-        keys = np.zeros(matrix.shape, dtype=np.int32)
-        for dim in nominal:
-            keys[:, dim] = matrix[:, dim].astype(np.int32)
         matrix.setflags(write=False)
-        keys.setflags(write=False)
-        return cls(matrix, keys, nominal)
+        return cls(matrix, nominal_dims)
 
     @property
     def matrix_t(self):
@@ -130,10 +130,33 @@ class ColumnarStore:
             self._matrix_t = transposed
         return self._matrix_t
 
-    def column(self, dim: int):
-        """The raw canonical column of one dimension (read-only view)."""
-        return self.matrix[:, dim]
+    @property
+    def nominal_ids_t(self):
+        """``(len(nominal_dims), n)`` value ids of the nominal dimensions.
 
-    def key_column(self, dim: int):
-        """The tie-break key column of one dimension (read-only view)."""
-        return self.keys[:, dim]
+        Row ``k`` holds dimension ``nominal_dims[k]`` as ``intp`` - the
+        index dtype ``np.take`` gathers with, so the per-query rank and
+        bucket gathers convert nothing.  Built lazily, cached for the
+        store's lifetime.
+        """
+        if self._nominal_ids_t is None:
+            ids = self.matrix_t[list(self.nominal_dims)].astype(
+                require_numpy().intp
+            )
+            ids.setflags(write=False)
+            self._nominal_ids_t = ids
+        return self._nominal_ids_t
+
+    def derived(self, build):
+        """``build(self)``, computed once per store and cached.
+
+        For preference-independent arrays a backend derives from the
+        store alone (the bitset backend's numeric bucket rows).  Keyed
+        by ``build``; the result lives and dies with the store, so
+        stores never evict each other's arrays.  Concurrent first calls
+        may both build (identical content, harmless).
+        """
+        value = self._derived.get(build)
+        if value is None:
+            value = self._derived[build] = build(self)
+        return value

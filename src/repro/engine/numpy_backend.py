@@ -2,20 +2,23 @@
 
 Representation
 --------------
-A prepared context derives from the
-:class:`~repro.engine.columnar.ColumnarStore` and the query's compiled
-:class:`~repro.core.dominance.RankTable` three arrays (the 2-D ones
-transposed to ``(m, n)`` so every per-dimension slice is contiguous -
-the broadcast axis must be the large one or ufunc loop overhead
-dominates at small ``m``):
+A prepared context pairs the
+:class:`~repro.engine.columnar.ColumnarStore` with three arrays derived
+from it and the query's compiled
+:class:`~repro.core.dominance.RankTable` (the 2-D ones ``(m, n)`` so
+every per-dimension slice is contiguous - the broadcast axis must be
+the large one or ufunc loop overhead dominates at small ``m``):
 
-* ``ranks_t`` - per-dimension ranks.  Universal dimensions keep their
-  canonical floats; nominal columns are remapped through the rank table
-  with one gather per column (:meth:`RankTable.remap_columns`).
-  Smaller is better everywhere.
-* ``values_t`` - the store's canonical value matrix (floats / value
-  ids), used purely for *equality* tests.
-* ``scores`` - per-point rank sums (the SFS score ``f``).
+* ``ranks_t`` - per-dimension ranks, with no whole-matrix remap or
+  transpose: universal rows are the store's canonical floats
+  (``matrix_t``), each nominal row is one ``np.take`` of the store's
+  value ids (``nominal_ids_t``) through the table's value-id -> rank
+  list.  Smaller is better everywhere.  This gather is
+  the only per-query rank step of every vectorized backend.
+* ``values_t`` - the store's ``matrix_t`` (floats / value ids), used
+  purely for *equality* tests.
+* ``scores`` - per-point rank sums (the SFS score ``f``), added
+  dimension by dimension left to right, like the python reference.
 
 Dominance under the paper's partial-order semantics vectorizes as, per
 dimension::
@@ -85,13 +88,16 @@ _SHRINK_MIN_REMAINING = 64
 
 
 class _NumpyContext:
-    """Transposed ranks/values + scores for one (rows, table) pair."""
+    """Transposed ranks/values + scores for one (store, table) pair."""
 
-    __slots__ = ("ranks_t", "values_t", "scores", "nominal", "table", "np")
+    __slots__ = (
+        "store", "ranks_t", "values_t", "scores", "nominal", "table", "np",
+    )
 
-    def __init__(self, ranks_t, values_t, scores, nominal, table, np) -> None:
+    def __init__(self, store, ranks_t, scores, nominal, table, np) -> None:
+        self.store = store
         self.ranks_t = ranks_t
-        self.values_t = values_t
+        self.values_t = store.matrix_t
         self.scores = scores
         self.nominal = nominal  # per-dimension bool flags
         self.table = table
@@ -319,11 +325,21 @@ class NumpyBackend(Backend):
                 table.schema.nominal_indices,
                 num_dims=len(table.schema),
             )
-        ranks = table.remap_columns(store)
-        ranks_t = np.ascontiguousarray(ranks.T)
-        scores = ranks.sum(axis=1)
+        nominal = nominal_flags(table)
+        values_t = store.matrix_t
+        ranks_t = np.empty(values_t.shape, dtype=np.float64)
+        for j, is_nominal in enumerate(nominal):
+            if not is_nominal:
+                ranks_t[j] = values_t[j]
+        # Value ids always index their domain's table, so "clip" never
+        # clips; it only spares the copy "raise" makes of ``out``.
+        for k, j in enumerate(store.nominal_dims):
+            np.take(
+                np.asarray(table.nominal_lut(j), dtype=np.float64),
+                store.nominal_ids_t[k], out=ranks_t[j], mode="clip",
+            )
         return _NumpyContext(
-            ranks_t, store.matrix_t, scores, nominal_flags(table), table, np
+            store, ranks_t, ranks_t.sum(axis=0), nominal, table, np
         )
 
     def _ids_array(self, ctx, ids):
@@ -351,12 +367,7 @@ class NumpyBackend(Backend):
         return ctx.scores[idx].tolist()
 
     def score_rows(self, table, rows: Sequence[tuple]) -> List[float]:
-        if not len(rows):
-            return []
-        store = ColumnarStore.from_rows(
-            rows, table.schema.nominal_indices, num_dims=len(table.schema)
-        )
-        return table.remap_columns(store).sum(axis=1).tolist()
+        return self.prepare(rows, table).scores.tolist()
 
     def sort_by_score(self, ctx, ids: Sequence[int]) -> List[int]:
         idx = self._ids_array(ctx, ids)

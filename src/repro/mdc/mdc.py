@@ -253,8 +253,9 @@ def _viable_candidates_columnar(
     cand = np.asarray(candidates, dtype=np.int64)
     num = np.asarray(numeric_dims, dtype=np.int64)
     nom = np.asarray(nominal_dims, dtype=np.int64)
-    cand_num = store.matrix[cand][:, num] if num.size else None
-    cand_nom = store.keys[cand][:, nom] if nom.size else None
+    block = store.matrix[cand]
+    cand_num = block[:, num] if num.size else None
+    cand_nom = block[:, nom] if nom.size else None
 
     out: Dict[int, List[int]] = {}
     ones = np.ones(cand.shape[0], dtype=bool)
@@ -268,7 +269,7 @@ def _viable_candidates_columnar(
             not_worse = ones
             strictly = zeros
         if cand_nom is not None:
-            differs = (cand_nom != store.keys[p_id, nom]).any(axis=1)
+            differs = (cand_nom != store.matrix[p_id, nom]).any(axis=1)
         else:
             differs = zeros
         viable = not_worse & (strictly | differs) & (cand != p_id)

@@ -242,8 +242,8 @@ class DynamicDataset:
         Mirrors :attr:`repro.core.dataset.Dataset.columns` for the
         vectorized helpers; requires NumPy.  Dead slots carry their last
         value - callers select live ids, so the padding is never read.
-        Built *incrementally*: appends write their rows into amortised-
-        doubling arrays (existing slots are immutable, so nothing is
+        Built *incrementally*: appends write their rows into an amortised-
+        doubling matrix (existing slots are immutable, so nothing is
         ever re-encoded; only compaction forces a rebuild), and each
         version's store is a cheap read-only view - O(appended), not
         O(n), per mutation batch.  Safe under concurrent readers: the
@@ -381,6 +381,7 @@ class DynamicDataset:
         self._dead = 0
         self._compactions += 1
         self._base_store = None
+        self._column_builder = None
         self._bump()
         return remap
 
@@ -445,36 +446,35 @@ class DynamicDataset:
             raise DatasetError(f"point {point_id} was deleted")
 
 
-def grow_matrix_pair(np, matrix, keys, size: int, total: int):
-    """Amortised-doubling growth of a paired (float64, int32) matrix.
+def grow_matrix(np, matrix, size: int, total: int):
+    """Amortised-doubling growth of a row-major matrix.
 
-    Returns the (possibly reallocated) pair with capacity for ``total``
-    rows, the first ``size`` rows copied over.  Shared by the columnar
-    builder here and the rank-matrix sweeps in
+    Returns the (possibly reallocated) matrix, same dtype, with capacity
+    for ``total`` rows and the first ``size`` rows copied over.  Shared
+    by the columnar builder here and the rank-matrix sweeps in
     :mod:`repro.updates.incremental` so the growth policy cannot
     diverge between them.
     """
     if total > matrix.shape[0]:
         capacity = max(total, 2 * matrix.shape[0], 64)
-        grown_m = np.empty((capacity, matrix.shape[1]), dtype=np.float64)
-        grown_k = np.empty((capacity, keys.shape[1]), dtype=np.int32)
-        grown_m[:size] = matrix[:size]
-        grown_k[:size] = keys[:size]
-        return grown_m, grown_k
-    return matrix, keys
+        grown = np.empty((capacity, matrix.shape[1]), dtype=matrix.dtype)
+        grown[:size] = matrix[:size]
+        return grown
+    return matrix
 
 
 class _GrowableColumns:
-    """Amortised-doubling backing arrays for :attr:`DynamicDataset.columns`.
+    """Amortised-doubling backing matrix for :attr:`DynamicDataset.columns`.
 
     Canonical rows are append-only (deletes tombstone, they never edit a
     slot), so each new version's columnar store differs from the last
     only by a suffix of fresh rows.  The builder keeps one growing
-    ``(capacity, m)`` float64 matrix plus the int32 key matrix, writes
-    only the new suffix per sync, and hands out read-only *views* -
-    existing views stay valid because committed slots are never written
-    again.  A shrinking row count (compaction reassigned the id space)
-    is detected and triggers the one legitimate full rebuild.
+    ``(capacity, m)`` float64 matrix, writes only the new suffix per
+    sync, and hands out read-only *views* - existing views stay valid
+    because committed slots are never written again.  Compaction
+    reassigns the id space, so :meth:`DynamicDataset.compact` drops the
+    builder: the next one allocates fresh arrays instead of rewriting
+    slots that earlier views still show.
     """
 
     def __init__(self, schema: Schema) -> None:
@@ -482,10 +482,8 @@ class _GrowableColumns:
 
         self._np = require_numpy()
         self._nominal = tuple(schema.nominal_indices)
-        self._dims = len(schema)
         self._size = 0
-        self._matrix = self._np.empty((0, self._dims), dtype=self._np.float64)
-        self._keys = self._np.empty((0, self._dims), dtype=self._np.int32)
+        self._matrix = self._np.empty((0, len(schema)), dtype=self._np.float64)
 
     def store_for(self, rows: Sequence[CanonicalRow]):
         """A ColumnarStore covering ``rows``, appending only the suffix."""
@@ -493,16 +491,7 @@ class _GrowableColumns:
 
         np = self._np
         total = len(rows)
-        if total < self._size:
-            # Compaction shrank the id space: rebuild into *fresh*
-            # arrays.  Rewriting the old ones in place would mutate
-            # every previously handed-out (read-only-view) store.
-            self._size = 0
-            self._matrix = np.empty((0, self._dims), dtype=np.float64)
-            self._keys = np.empty((0, self._dims), dtype=np.int32)
-        self._matrix, self._keys = grow_matrix_pair(
-            np, self._matrix, self._keys, self._size, total
-        )
+        self._matrix = grow_matrix(np, self._matrix, self._size, total)
         if total > self._size:
             block_of = getattr(rows, "matrix_block", None)
             block = (
@@ -515,14 +504,7 @@ class _GrowableColumns:
                     "canonical rows do not form a rectangular matrix"
                 )
             self._matrix[self._size:total] = block
-            self._keys[self._size:total] = 0
-            for dim in self._nominal:
-                self._keys[self._size:total, dim] = block[:, dim].astype(
-                    np.int32
-                )
             self._size = total
         matrix = self._matrix[:total]
-        keys = self._keys[:total]
         matrix.setflags(write=False)
-        keys.setflags(write=False)
-        return ColumnarStore(matrix, keys, self._nominal)
+        return ColumnarStore(matrix, self._nominal)

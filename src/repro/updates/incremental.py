@@ -43,7 +43,7 @@ from repro.core.preferences import Preference
 from repro.engine import resolve_backend
 from repro.engine.columnar import numpy_available
 from repro.exceptions import DatasetError
-from repro.updates.dataset import DynamicDataset, grow_matrix_pair
+from repro.updates.dataset import DynamicDataset, grow_matrix
 
 
 @dataclass(frozen=True)
@@ -308,9 +308,8 @@ class _RankMatrix:
         total = len(rows)
         if total <= self._size:
             return
-        self._ranks, self._keys = grow_matrix_pair(
-            np, self._ranks, self._keys, self._size, total
-        )
+        self._ranks = grow_matrix(np, self._ranks, self._size, total)
+        self._keys = grow_matrix(np, self._keys, self._size, total)
         size = self._size
         if total - size >= self.BULK_SYNC_THRESHOLD:
             # Convert the tuple block once; rank_rows_matrix copies its

@@ -32,6 +32,7 @@ from repro.engine._bitset_kernel import (
     load_kernel,
     reset_probe,
 )
+from repro.engine.bitset_backend import _bucket_template
 from repro.exceptions import EngineError
 
 needs_numpy = pytest.mark.skipif(
@@ -374,31 +375,33 @@ class TestConstructionAndStatus:
         dataset, table = _workload(300, seed=2)
         other = RankTable.compile(dataset.schema, None)
         backend = make_bitset_backend(packed="numpy")
-        first = backend.prepare(
-            dataset.canonical_rows, table, store=dataset.columns
-        )
-        pack = backend._store_pack
-        second = backend.prepare(
-            dataset.canonical_rows, other, store=dataset.columns
-        )
+        store = dataset.columns
+        first = backend.prepare(dataset.canonical_rows, table, store=store)
+        template = store.derived(_bucket_template)
+        second = backend.prepare(dataset.canonical_rows, other, store=store)
         # One per-store packing serves both preferences: the numeric
         # bucket array is the very same object, not a recomputation.
-        assert backend._store_pack.numeric_buckets is pack.numeric_buckets
-        numeric = list(pack.numeric)
+        assert store.derived(_bucket_template) is template
+        numeric = [
+            j for j in range(store.num_dims) if j not in store.nominal_dims
+        ]
         assert numeric
+        assert (first.buckets_t[numeric] == template[numeric]).all()
         assert (first.buckets_t[numeric] == second.buckets_t[numeric]).all()
         assert not np.shares_memory(first.buckets_t, second.buckets_t)
-        # A store built from loose rows is packed on the side and never
-        # evicts the slot.
-        backend.prepare(dataset.canonical_rows, table)
-        assert backend._store_pack is pack
+        # A store built from loose rows is packed on its own and leaves
+        # the dataset store's packing in place.
+        loose = backend.prepare(dataset.canonical_rows, table)
+        assert loose.store is not store
+        assert store.derived(_bucket_template) is template
 
 
 def bruteforce_ids(service, preference):
     """Brute-force skyline of the served rows, in the live id space."""
     snap = service.data_snapshot()
     table = RankTable.compile(snap.schema, preference, service.template)
-    translate = service._dynamic.snapshot_ids()
+    dyn = service._dynamic
+    translate = dyn.snapshot_ids() if dyn is not None else range(len(snap))
     return tuple(sorted(
         translate[i] for i in bruteforce_skyline(
             snap.canonical_rows, snap.ids, table, backend="python"
@@ -408,8 +411,8 @@ def bruteforce_ids(service, preference):
 
 @needs_numpy
 class TestStorePackAcrossVersions:
-    """The per-store packing is keyed on the store object; every
-    dataset version must be answered from its own packing."""
+    """The per-store packing lives on the store object; every dataset
+    version must be answered from its own packing."""
 
     def test_forced_route_matches_bruteforce_after_mutations(self):
         from repro.serve.service import SkylineService
@@ -434,9 +437,7 @@ class TestStorePackAcrossVersions:
             for pref in prefs:
                 got = service.query(pref, route="bitset", use_cache=False)
                 assert tuple(got.ids) == bruteforce_ids(service, pref)
-            assert service.bitset._store_pack.store is (
-                service._dynamic.columns
-            )
+            assert _bucket_template in service._dynamic.columns._derived
 
         service.insert_rows([dataset.row(0)])  # builds the dynamic view
         check()
@@ -447,6 +448,59 @@ class TestStorePackAcrossVersions:
         service.delete_rows(members[: len(members) // 2])
         check()
         service.compact()
+        check()
+
+    def test_adaptive_member_store_never_repacks_dataset_store(
+        self, monkeypatch
+    ):
+        import repro.engine.bitset_backend as bitset_module
+        from repro.serve.service import SkylineService
+
+        built = []
+
+        def counting(store, build=bitset_module._bucket_template):
+            built.append(store)
+            return build(store)
+
+        monkeypatch.setattr(bitset_module, "_bucket_template", counting)
+        dataset, _table = _workload(300, seed=33)
+        extra, _ = _workload(60, seed=34)
+        service = SkylineService(
+            dataset, cache_capacity=0, with_tree=False, with_mdc=False,
+            backend="bitset",
+        )
+        prefs = [
+            Preference({
+                name: ImplicitPreference(
+                    dataset.schema.spec(name).domain[::-1][:k]
+                )
+                for name in dataset.schema.nominal_names
+            })
+            for k in (1, 2)
+        ]
+
+        def check():
+            dyn = service._dynamic
+            store = (dyn if dyn is not None else service.dataset).columns
+            template = None
+            for _ in range(2):
+                for pref in prefs:
+                    expected = bruteforce_ids(service, pref)
+                    for route in ("bitset", "adaptive"):
+                        got = service.query(pref, route=route, use_cache=False)
+                        assert tuple(got.ids) == expected, route
+                    if template is None:
+                        template = store.derived(counting)
+                    assert store.derived(counting) is template
+            assert sum(1 for s in built if s is store) == 1
+            # The adaptive queries packed their member store, not this one.
+            assert any(s is not store for s in built)
+
+        check()
+        service.insert_rows([extra.row(i) for i in range(len(extra))])
+        check()
+        members = service.query(None, route="bitset", use_cache=False).ids
+        service.delete_rows(members[: len(members) // 2])
         check()
 
 

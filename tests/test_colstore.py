@@ -30,6 +30,7 @@ from repro import faults
 from repro.core.attributes import Schema, nominal, numeric_max, numeric_min
 from repro.core.colstore import ChainRows, growable_rows
 from repro.core.dataset import Dataset
+from repro.engine.bitset_backend import _bucket_template
 from repro.engine.columnar import numpy_available
 from repro.exceptions import DatasetError, StorageError
 from repro.faults import FaultPlan, FaultRule
@@ -400,9 +401,9 @@ class TestBitsetOnBorrowedStore:
         try:
             assert recovered._dynamic.base_store is not None
             members = check()
-            assert recovered.bitset._store_pack.store.matrix is (
-                recovered._dynamic.base_store.matrix
-            )
+            store = recovered._dynamic.columns
+            assert store.matrix is recovered._dynamic.base_store.matrix
+            assert _bucket_template in store._derived
             recovered.delete_rows(members[:3])
             check()
             recovered.insert_rows([dataset.row(i) for i in range(5, 25)])

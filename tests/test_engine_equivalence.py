@@ -354,26 +354,13 @@ class TestColumnarStore:
         for i, row in enumerate(vacation_data.canonical_rows):
             for dim, value in enumerate(row):
                 assert store.matrix[i, dim] == float(value)
-        # Nominal keys carry the value ids; universal keys are zero.
         assert store.nominal_dims == (2,)
-        assert store.keys[:, 0].tolist() == [0] * len(vacation_data)
-        assert store.keys[:, 2].tolist() == [
-            row[2] for row in vacation_data.canonical_rows
-        ]
 
     def test_store_is_cached_and_readonly(self, vacation_data):
         store = vacation_data.columns
         assert vacation_data.columns is store
         with pytest.raises(ValueError):
             store.matrix[0, 0] = 99.0
-
-    def test_remap_columns_applies_rank_table(self, vacation_data):
-        table = RankTable.compile(
-            vacation_data.schema, Preference({"Hotel-group": "T < M < *"})
-        )
-        ranks = table.remap_columns(vacation_data.columns)
-        for i, row in enumerate(vacation_data.canonical_rows):
-            assert tuple(ranks[i]) == table.rank_vector(row)
 
 
 class TestDatasetValidation:

@@ -539,10 +539,9 @@ class TestReviewRegressions:
                 num_dims=len(data.schema),
             )
             assert (got.matrix == want.matrix).all()
-            assert (got.keys == want.keys).all()
             assert data.columns is got  # version-cached view
         data.compact()
-        got = data.columns  # shrink detected: rebuilt, still exact
+        got = data.columns  # compaction dropped the builder: rebuilt
         want = ColumnarStore.from_rows(
             data.canonical_rows,
             data.schema.nominal_indices,
@@ -550,6 +549,54 @@ class TestReviewRegressions:
         )
         assert (got.matrix == want.matrix).all()
         assert len(got) == len(data)
+
+    def test_columns_exact_when_appends_regrow_past_compaction(self):
+        # Appends after a compaction bring the slot count back above
+        # the pre-compaction size before the next columns read: the
+        # view must show the compacted rows, not the old ones.
+        pytest.importorskip("numpy")
+        base = generate(
+            SyntheticConfig(
+                num_points=100, num_numeric=2, num_nominal=2,
+                cardinality=4, seed=37,
+            )
+        )
+        data = DynamicDataset.from_dataset(base)
+        data.append([base.row(0)])
+        before = data.columns
+        old_rows = before.matrix.copy()
+        data.delete(range(20))
+        data.compact()
+        data.append([base.row(i) for i in range(34)])
+        got = data.columns
+        assert len(got) == 115
+        assert got.matrix.tolist() == [
+            list(row) for row in data.canonical_rows
+        ]
+        assert (before.matrix == old_rows).all()  # old view intact
+
+    def test_forced_scans_exact_when_appends_regrow_past_compaction(self):
+        pytest.importorskip("numpy")
+        base = generate(
+            SyntheticConfig(
+                num_points=100, num_numeric=2, num_nominal=2,
+                cardinality=4, seed=37,
+            )
+        )
+        service = SkylineService(
+            base, cache_capacity=0, with_tree=False, with_adaptive=False,
+            with_mdc=False,
+        )
+        pref = generate_preferences(base, 2, 1, seed=5)[0]
+        service.insert_rows([base.row(0)])
+        service.query(pref, route="kernel", use_cache=False)
+        service.delete_rows(list(range(20)))
+        service.compact()
+        service.insert_rows([base.row(i) for i in range(34)])
+        oracle = TestServiceUpdates().oracle(service, None, pref)
+        for route in ("kernel", "bitset"):
+            got = service.query(pref, route=route, use_cache=False)
+            assert got.ids == oracle, route
 
     def test_maintainer_fails_fast_after_external_compaction(self):
         data = small_dynamic()
@@ -716,7 +763,6 @@ class TestReviewRegressions:
                 )
                 for store in stores:
                     assert (store.matrix == want.matrix).all()
-                    assert (store.keys == want.keys).all()
 
     def test_first_update_before_any_query_refreshes_eagerly(self):
         base = generate(
