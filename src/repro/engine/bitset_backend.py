@@ -127,6 +127,7 @@ from repro.engine.numpy_backend import (
     _dominated_any,
     _dominates_matrix,
     score_order,
+    store_for,
 )
 from repro.engine.python_backend import PythonBackend
 from repro.exceptions import EngineError
@@ -495,17 +496,19 @@ class BitsetBackend(Backend):
     def prepare(self, rows: Sequence[tuple], table, store=None):
         if not self.vectorized:
             return _PyBitsetContext(rows, table)
-        ctx = self._inner.prepare(rows, table, store)
-        np, store = ctx.np, ctx.store
+        np = require_numpy()
+        store = store_for(rows, table, store)
         buckets_t = store.derived(_bucket_template).copy()
-        # Value ids always index their domain's table, so "clip" never
-        # clips; it only spares the copy "raise" makes of ``out``.
-        for k, j in enumerate(store.nominal_dims):
-            rank_lut = np.asarray(table.nominal_lut(j), dtype=np.float64)
+
+        def gather_buckets(j, ids, rank_lut, ranks) -> None:
             np.take(
-                _nominal_bucket_lut(np, rank_lut, ctx.ranks_t[j]),
-                store.nominal_ids_t[k], out=buckets_t[j], mode="clip",
+                _nominal_bucket_lut(np, rank_lut, ranks), ids,
+                out=buckets_t[j], mode="clip",
             )
+
+        ctx = self._inner.prepare(
+            rows, table, store, each_nominal=gather_buckets
+        )
         return _BitsetContext(ctx, buckets_t)
 
     # -- delegating primitive kernels --------------------------------------

@@ -104,6 +104,15 @@ class _NumpyContext:
         self.np = np
 
 
+def store_for(rows: Sequence[tuple], table, store=None) -> ColumnarStore:
+    """``store`` when it holds ``rows``, else a store built from them."""
+    if store is None or len(store) != len(rows):
+        store = ColumnarStore.from_rows(
+            rows, table.schema.nominal_indices, num_dims=len(table.schema)
+        )
+    return store
+
+
 def nominal_flags(table) -> List[bool]:
     """Per-dimension "is nominal" flags of ``table``'s schema."""
     nominal = [False] * len(table.schema)
@@ -317,14 +326,17 @@ class NumpyBackend(Backend):
         self._np = require_numpy()
 
     # -- context ----------------------------------------------------------
-    def prepare(self, rows: Sequence[tuple], table, store=None):
+    def prepare(self, rows: Sequence[tuple], table, store=None, *,
+                each_nominal=None):
+        """Rank rows and scores of ``rows`` under ``table``.
+
+        ``each_nominal(j, ids, rank_lut, ranks)`` runs right after
+        nominal dimension ``j``'s rank row ``ranks`` is gathered from the
+        value-id row ``ids`` through ``rank_lut``; the bitset tier
+        gathers its bucket row there, from the same id row.
+        """
         np = self._np
-        if store is None or len(store) != len(rows):
-            store = ColumnarStore.from_rows(
-                rows,
-                table.schema.nominal_indices,
-                num_dims=len(table.schema),
-            )
+        store = store_for(rows, table, store)
         nominal = nominal_flags(table)
         values_t = store.matrix_t
         ranks_t = np.empty(values_t.shape, dtype=np.float64)
@@ -334,10 +346,11 @@ class NumpyBackend(Backend):
         # Value ids always index their domain's table, so "clip" never
         # clips; it only spares the copy "raise" makes of ``out``.
         for k, j in enumerate(store.nominal_dims):
-            np.take(
-                np.asarray(table.nominal_lut(j), dtype=np.float64),
-                store.nominal_ids_t[k], out=ranks_t[j], mode="clip",
-            )
+            rank_lut = np.asarray(table.nominal_lut(j), dtype=np.float64)
+            ids = store.nominal_ids_t[k]
+            np.take(rank_lut, ids, out=ranks_t[j], mode="clip")
+            if each_nominal is not None:
+                each_nominal(j, ids, rank_lut, ranks_t[j])
         return _NumpyContext(
             store, ranks_t, ranks_t.sum(axis=0), nominal, table, np
         )

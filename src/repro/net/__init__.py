@@ -27,10 +27,11 @@ parser) and splits into small, separately testable pieces:
 * :mod:`repro.net.idempotency` - the server-side bounded dedup window
   that makes keyed mutation retries exactly-once within the window.
 
-Entry points: ``python -m repro.net`` (this package's CLI) and
-``python -m repro.serve --listen HOST:PORT`` (the workload CLI
-delegating here).  The wire protocol, status-code contract, metrics
-catalog and reload semantics are documented in ``docs/serving.md``.
+Entry point: ``python -m repro.net``, the one server CLI.  Its service
+flags are the workload CLI's (``python -m repro.serve``), declared once
+in :func:`repro.serve.__main__.add_service_arguments`.  The wire
+protocol, status-code contract, metrics catalog and reload semantics
+are documented in ``docs/serving.md``.
 """
 
 from repro.net.admission import AdmissionController, AdmissionDecision

@@ -33,14 +33,27 @@ import sys
 import tempfile
 import threading
 import time
+from dataclasses import replace
 from typing import List, Optional
 
 from repro import faults
-from repro.engine import get_backend, set_default_backend
 from repro.net.client import NetClient, parse_listen
 from repro.net.config import ServerConfig, load_config
 from repro.net.server import SkylineServer
-from repro.serve.__main__ import build_service, positive_int
+from repro.serve.__main__ import (
+    add_service_arguments,
+    apply_service_arguments,
+    build_service,
+)
+
+
+def listen_spec(text: str):
+    """Argparse ``type=`` for ``HOST:PORT`` flags: a bad spec is a usage
+    error (exit code 2), not a traceback."""
+    try:
+        return parse_listen(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,49 +63,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Serve preference skyline queries over HTTP/JSON "
         "(protocol and ops knobs: docs/serving.md).",
     )
-    parser.add_argument("--listen", type=str, default="127.0.0.1:0",
-                        help="HOST:PORT to bind (default: 127.0.0.1:0 - "
-                        "an ephemeral port, reported on stderr)")
+    parser.add_argument("--listen", type=listen_spec, default=None,
+                        metavar="HOST:PORT",
+                        help="address to bind; beats the config file's "
+                        "host/port (default: the file's, else "
+                        "127.0.0.1:0 - an ephemeral port, reported on "
+                        "stderr)")
     parser.add_argument("--service-config", type=str, default=None,
                         help="JSON config file (docs/serving.md); re-read "
                         "on SIGHUP or POST /admin/reload")
-    parser.add_argument("--points", type=int, default=2000,
-                        help="synthetic dataset size (default: 2000)")
-    parser.add_argument("--numeric", type=int, default=2,
-                        help="numeric dimensions (default: 2)")
-    parser.add_argument("--nominal", type=int, default=2,
-                        help="nominal dimensions (default: 2)")
-    parser.add_argument("--cardinality", type=int, default=8,
-                        help="nominal domain size (default: 8)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="dataset seed (default: 0)")
-    parser.add_argument("--template-order", type=int, default=1,
-                        help="order of the frequent-value template "
-                        "(0 = empty template; default: 1)")
-    parser.add_argument("--ipo-k", type=int, default=None,
-                        help="IPO Tree-k truncation (default: full tree "
-                        "when affordable)")
-    parser.add_argument("--cache-size", type=int, default=256,
-                        help="semantic cache capacity (default: 256; a "
-                        "config-file cache_capacity overrides this)")
-    parser.add_argument("--backend",
-                        choices=["auto", "python", "numpy", "bitset"],
-                        default="auto",
-                        help="execution backend (default: process default)")
-    parser.add_argument("--storage-dir", type=str, default=None,
-                        help="directory for durable state (snapshots + "
-                        "WAL); mutations over the wire are then logged "
-                        "and fsync'd before the response")
-    parser.add_argument("--recover", action="store_true",
-                        help="recover the service from --storage-dir "
-                        "instead of generating a dataset")
-    parser.add_argument("--checkpoint-every", type=positive_int,
-                        default=None, metavar="N",
-                        help="auto-checkpoint after N logged batches")
-    parser.add_argument("--checkpoint-wal-bytes", type=positive_int,
-                        default=None, metavar="M",
-                        help="auto-checkpoint once the WAL reaches M bytes")
-    parser.add_argument("--follow", type=str, default=None,
+    add_service_arguments(parser, cache_size=256)
+    parser.add_argument("--follow", type=listen_spec, default=None,
                         metavar="HOST:PORT",
                         help="serve as a read-only replica tailing this "
                         "primary's WAL stream (mutations answer 403; "
@@ -103,9 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--smoke", action="store_true",
                         help="boot on an ephemeral port, run the scripted "
                         "client, drain, and exit 0/1 (the CI leg)")
-    # build_service() reads these even though the net CLI does not
-    # expose them (no workload replay happens here).
-    parser.set_defaults(route=None, checkpoint=False)
     return parser
 
 
@@ -202,7 +180,8 @@ def smoke(args) -> int:
                     check(
                         "insert",
                         inserted.status == 200
-                        and inserted.json.get("version") == 1,
+                        and inserted.json.get("version")
+                        == first.json["version"] + 1,
                         repr(inserted),
                     )
                     deleted = client.delete(inserted.json["point_ids"])
@@ -271,8 +250,6 @@ def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.recover and args.storage_dir is None:
-        parser.error("--recover requires --storage-dir")
     if args.follow is not None and (
         args.storage_dir is not None or args.recover or args.smoke
     ):
@@ -282,9 +259,7 @@ def main(argv=None) -> int:
         )
     if args.poll_interval <= 0:
         parser.error("--poll-interval must be positive")
-    if args.backend != "auto":
-        set_default_backend(args.backend)
-    print(f"backend: {get_backend().name}", file=sys.stderr)
+    apply_service_arguments(parser, args)
     plan = faults.plan_from_env()
     if plan is not None:
         faults.install(plan)
@@ -297,22 +272,19 @@ def main(argv=None) -> int:
     if args.smoke:
         return smoke(args)
 
-    host, port = parse_listen(args.listen)
-    if args.service_config is not None:
-        config = load_config(args.service_config)
-        # The file's host/port (if any) win only when --listen was
-        # left at its default; an explicit flag beats the file.
-        if args.listen != parser.get_default("listen"):
-            config = ServerConfig(
-                **{**config.__dict__, "host": host, "port": port}
-            )
-    else:
-        config = ServerConfig(host=host, port=port)
+    config = (
+        load_config(args.service_config)
+        if args.service_config is not None
+        else ServerConfig()
+    )
+    if args.listen is not None:  # an explicit flag beats the file
+        host, port = args.listen
+        config = replace(config, host=host, port=port)
 
     if args.follow is not None:
         from repro.replication import Follower, HttpReplicationSource
 
-        primary_host, primary_port = parse_listen(args.follow)
+        primary_host, primary_port = args.follow
         follower = Follower(
             HttpReplicationSource(primary_host, primary_port),
             cache_capacity=args.cache_size,

@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
+from typing import get_args, get_origin, get_type_hints
 
 from repro.net.http import NetError
 from repro.serve.planner import PlannerConfig
@@ -28,25 +29,6 @@ from repro.serve.planner import PlannerConfig
 
 class ConfigError(NetError):
     """A service config file (or reload payload) failed validation."""
-
-
-#: Fields a live server applies on reload; everything else needs a
-#: restart (the listen socket is bound, the service is built).
-RELOADABLE_FIELDS = (
-    "max_inflight",
-    "max_queue",
-    "request_timeout",
-    "read_timeout",
-    "idle_timeout",
-    "max_body_bytes",
-    "max_header_bytes",
-    "worker_threads",
-    "retry_after_seconds",
-    "idempotency_window",
-    "cache_capacity",
-    "planner",
-    "access_log",
-)
 
 
 @dataclass(frozen=True)
@@ -153,6 +135,35 @@ class ServerConfig:
         return replace(self, **updates), ignored
 
 
+#: Fields a live server applies on reload: every field but the listen
+#: address, which needs a restart (the socket is already bound).
+RELOADABLE_FIELDS = tuple(
+    f.name for f in fields(ServerConfig) if f.name not in ("host", "port")
+)
+
+
+#: JSON names of the types :class:`ServerConfig` fields are annotated with.
+_JSON_NAMES = {str: "string", int: "integer", float: "number",
+               bool: "boolean", dict: "object", type(None): "null"}
+
+
+def _json_name(annotation) -> str:
+    """``"integer"``, ``"integer or null"``, ... for a field annotation."""
+    if get_origin(annotation) is Union:
+        return " or ".join(_json_name(arg) for arg in get_args(annotation))
+    return _JSON_NAMES[get_origin(annotation) or annotation]
+
+
+def _type_ok(value: object, annotation) -> bool:
+    """Structural JSON type check (bool is not a number; an int is)."""
+    if get_origin(annotation) is Union:
+        return any(_type_ok(value, arg) for arg in get_args(annotation))
+    kind = get_origin(annotation) or annotation
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def config_from_dict(data: object, *, where: str = "config") -> ServerConfig:
     """Build and validate a :class:`ServerConfig` from parsed JSON."""
     if not isinstance(data, dict):
@@ -165,17 +176,16 @@ def config_from_dict(data: object, *, where: str = "config") -> ServerConfig:
         raise ConfigError(
             f"unknown key(s) {unknown} in {where}; valid: {sorted(valid)}"
         )
-    typed: Dict[str, object] = {}
+    hints = get_type_hints(ServerConfig)
     for name, value in data.items():
-        expected = _FIELD_TYPES[name]
-        if not _type_ok(value, expected):
+        if not _type_ok(value, hints[name]):
             raise ConfigError(
-                f"{where}.{name} has the wrong type: expected {expected}, "
+                f"{where}.{name} has the wrong type: expected "
+                f"{_json_name(hints[name])}, "
                 f"got {type(value).__name__} ({value!r})"
             )
-        typed[name] = value
     try:
-        return ServerConfig(**typed)
+        return ServerConfig(**data)
     except TypeError as exc:  # pragma: no cover - keys validated above
         raise ConfigError(f"invalid {where}: {exc}") from None
 
@@ -193,42 +203,3 @@ def load_config(path: Union[str, Path]) -> ServerConfig:
             f"config file {path} is not valid JSON: {exc}"
         ) from None
     return config_from_dict(data, where=str(path))
-
-
-#: Field name -> human-readable expected type (checked structurally -
-#: bools are not numbers, ints pass where floats are expected).
-_FIELD_TYPES = {
-    "host": "string",
-    "port": "integer",
-    "max_inflight": "integer",
-    "max_queue": "integer",
-    "request_timeout": "number",
-    "read_timeout": "number",
-    "idle_timeout": "number",
-    "max_body_bytes": "integer",
-    "max_header_bytes": "integer",
-    "worker_threads": "integer",
-    "retry_after_seconds": "integer",
-    "idempotency_window": "integer",
-    "cache_capacity": "integer or null",
-    "planner": "object",
-    "access_log": "boolean",
-}
-
-
-def _type_ok(value: object, expected: str) -> bool:
-    """Structural JSON type check (bool is not a number)."""
-    is_bool = isinstance(value, bool)
-    if expected == "string":
-        return isinstance(value, str)
-    if expected == "integer":
-        return isinstance(value, int) and not is_bool
-    if expected == "number":
-        return isinstance(value, (int, float)) and not is_bool
-    if expected == "integer or null":
-        return value is None or (isinstance(value, int) and not is_bool)
-    if expected == "object":
-        return isinstance(value, dict)
-    if expected == "boolean":
-        return is_bool
-    raise AssertionError(f"unhandled expected type {expected!r}")

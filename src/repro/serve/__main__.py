@@ -12,13 +12,15 @@ per workload shape::
     python -m repro.serve --selftest               # CI smoke check
     python -m repro.serve --storage-dir ./state --checkpoint   # durable
     python -m repro.serve --storage-dir ./state --recover      # restart
-    python -m repro.serve --listen 127.0.0.1:8080  # HTTP/JSON server
-                                                   # (see repro.net)
 
 ``--selftest`` runs a small fixed configuration, asserts that every
 planner route returns the identical skyline on randomized preferences
 and that the hot workload actually hits the cache, then exits 0/1 -
 the CI docs leg calls exactly this.
+
+The HTTP/JSON server over the same service is ``python -m repro.net``;
+both CLIs declare the service flags through
+:func:`add_service_arguments` and build through :func:`build_service`.
 """
 
 from __future__ import annotations
@@ -60,13 +62,15 @@ def positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The ``python -m repro.serve`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro-serve",
-        description="Replay synthetic preference-query workloads against "
-        "the skyline serving layer and report throughput/latency.",
-    )
+def add_service_arguments(
+    parser: argparse.ArgumentParser, *, cache_size: int
+) -> None:
+    """Declare the flags :func:`build_service` reads.
+
+    Both server CLIs (``repro.serve`` and ``repro.net``) build their
+    service through these; ``cache_size`` is the CLI's default semantic
+    cache capacity.
+    """
     parser.add_argument("--points", type=int, default=2000,
                         help="synthetic dataset size (default: 2000)")
     parser.add_argument("--numeric", type=int, default=2,
@@ -75,6 +79,67 @@ def build_parser() -> argparse.ArgumentParser:
                         help="nominal dimensions (default: 2)")
     parser.add_argument("--cardinality", type=int, default=8,
                         help="nominal domain size (default: 8)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="dataset (and workload) seed (default: 0)")
+    parser.add_argument("--template-order", type=int, default=1,
+                        help="order of the frequent-value template "
+                        "(0 = empty template; default: 1)")
+    parser.add_argument("--ipo-k", type=int, default=None,
+                        help="IPO Tree-k truncation (default: full tree "
+                        "when affordable)")
+    parser.add_argument("--cache-size", type=int, default=cache_size,
+                        help="semantic cache capacity (default: "
+                        f"{cache_size}; a repro.net config file's "
+                        "cache_capacity overrides it)")
+    parser.add_argument("--backend",
+                        choices=["auto", "python", "numpy", "bitset"],
+                        default="auto",
+                        help="execution backend (default: process default)")
+    parser.add_argument("--storage-dir", type=str, default=None,
+                        help="directory for durable state: snapshots + "
+                        "write-ahead log; mutations are logged and "
+                        "fsync'd before they return (default: in-memory "
+                        "only)")
+    parser.add_argument("--recover", action="store_true",
+                        help="recover the service from --storage-dir "
+                        "(snapshot + WAL replay) instead of generating "
+                        "a dataset")
+    parser.add_argument("--checkpoint-every", type=positive_int,
+                        default=None, metavar="N",
+                        help="auto-checkpoint after N logged mutation "
+                        "batches (default: manual only)")
+    parser.add_argument("--checkpoint-wal-bytes", type=positive_int,
+                        default=None, metavar="M",
+                        help="auto-checkpoint once the WAL reaches M "
+                        "bytes (default: manual only)")
+
+
+def apply_service_arguments(
+    parser: argparse.ArgumentParser, args, *, checkpoint: bool = False
+) -> None:
+    """Check that storage flags come with ``--storage-dir`` (``checkpoint``
+    is serve's own ``--checkpoint``) and install ``--backend``."""
+    given = [flag for flag, used in (
+        ("--recover", args.recover),
+        ("--checkpoint", checkpoint),
+        ("--checkpoint-every", args.checkpoint_every is not None),
+        ("--checkpoint-wal-bytes", args.checkpoint_wal_bytes is not None),
+    ) if used]
+    if given and args.storage_dir is None:
+        parser.error(f"--storage-dir is required by {'/'.join(given)}")
+    if args.backend != "auto":
+        set_default_backend(args.backend)
+    print(f"backend: {get_backend().name}", file=sys.stderr)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro.serve`` argument parser."""
+    parser = argparse.ArgumentParser(
+        prog="repro-serve",
+        description="Replay synthetic preference-query workloads against "
+        "the skyline serving layer and report throughput/latency.",
+    )
+    add_service_arguments(parser, cache_size=64)
     parser.add_argument("--queries", type=int, default=200,
                         help="queries per workload (default: 200)")
     parser.add_argument("--order", type=int, default=3,
@@ -91,33 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated shapes out of "
                         f"{','.join(sorted(WORKLOADS))} "
                         "(default: hot,cold,churn)")
-    parser.add_argument("--cache-size", type=int, default=64,
-                        help="semantic cache capacity (default: 64)")
-    parser.add_argument("--ipo-k", type=int, default=None,
-                        help="IPO Tree-k truncation (default: full tree "
-                        "when affordable)")
-    parser.add_argument("--template-order", type=int, default=1,
-                        help="order of the frequent-value template "
-                        "(0 = empty template; default: 1)")
-    parser.add_argument("--backend",
-                        choices=["auto", "python", "numpy", "bitset"],
-                        default="auto",
-                        help="execution backend (default: process default)")
     parser.add_argument("--route", choices=list(ROUTES), default=None,
                         help="force every query through one route")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="workload/dataset seed (default: 0)")
     parser.add_argument("--json", type=str, default=None,
                         help="also write the machine-readable report here")
     parser.add_argument("--selftest", action="store_true",
                         help="run the fixed smoke configuration and exit")
-    parser.add_argument("--storage-dir", type=str, default=None,
-                        help="directory for durable state: snapshots + "
-                        "write-ahead log (default: in-memory only)")
-    parser.add_argument("--recover", action="store_true",
-                        help="recover the service from --storage-dir "
-                        "(snapshot + WAL replay) instead of generating "
-                        "a dataset")
     parser.add_argument("--mmap", choices=["auto", "off", "require"],
                         default=None,
                         help="snapshot mapping mode for --recover: 'auto' "
@@ -129,40 +173,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--checkpoint", action="store_true",
                         help="write a checkpoint to --storage-dir before "
                         "exiting")
-    parser.add_argument("--checkpoint-every", type=positive_int,
-                        default=None, metavar="N",
-                        help="auto-checkpoint after N logged mutation "
-                        "batches (default: manual only)")
-    parser.add_argument("--checkpoint-wal-bytes", type=positive_int,
-                        default=None, metavar="M",
-                        help="auto-checkpoint once the WAL reaches M "
-                        "bytes (default: manual only)")
-    parser.add_argument("--listen", type=str, default=None,
-                        metavar="HOST:PORT",
-                        help="serve the HTTP/JSON protocol on this "
-                        "address instead of replaying a workload "
-                        "(delegates to repro.net; :0 = ephemeral port)")
-    parser.add_argument("--service-config", type=str, default=None,
-                        help="JSON service config for --listen; re-read "
-                        "on SIGHUP or POST /admin/reload")
     return parser
 
 
-def build_service(args) -> SkylineService:
-    """Dataset + template + service from the CLI arguments.
+def build_service(
+    args, *, route: Optional[str] = None, mmap: Optional[str] = None
+) -> SkylineService:
+    """Dataset + template + service from the flags of
+    :func:`add_service_arguments`.
 
-    With ``--recover`` the dataset, template and data version come from
-    the storage directory (snapshot + WAL replay); the generation flags
-    are ignored and a recovery summary is printed to stderr.
+    ``route`` forces every query through one planner route; ``mmap`` is
+    the snapshot mapping mode of a recovery.  With ``--recover`` the
+    dataset, template and data version come from the storage directory
+    (snapshot + WAL replay); the generation flags are ignored and a
+    recovery summary is printed to stderr.
     """
+    planner_config = PlannerConfig(forced_route=route)
     if args.recover:
         service = SkylineService.recover(
             args.storage_dir,
             cache_capacity=args.cache_size,
-            planner_config=PlannerConfig(forced_route=args.route),
+            planner_config=planner_config,
             checkpoint_every=args.checkpoint_every,
             checkpoint_wal_bytes=args.checkpoint_wal_bytes,
-            mmap=args.mmap,
+            mmap=mmap,
         )
         print(
             f"recovered from {args.storage_dir}: data version "
@@ -190,7 +224,7 @@ def build_service(args) -> SkylineService:
         template,
         cache_capacity=args.cache_size,
         ipo_k=args.ipo_k,
-        planner_config=PlannerConfig(forced_route=args.route),
+        planner_config=planner_config,
         storage_dir=args.storage_dir,
         checkpoint_every=args.checkpoint_every,
         checkpoint_wal_bytes=args.checkpoint_wal_bytes,
@@ -298,7 +332,7 @@ def selftest(args) -> int:
     # far larger than the cache, so the shapes behave distinctly even in
     # this small smoke configuration.
     args.order = 3
-    service = build_service(args)
+    service = build_service(args, mmap=args.mmap)
 
     failures = []
     for pref in generate_preferences(
@@ -354,49 +388,12 @@ def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.storage_dir is None and (
-        args.recover
-        or args.checkpoint
-        or args.checkpoint_every is not None
-        or args.checkpoint_wal_bytes is not None
-    ):
-        parser.error(
-            "--recover/--checkpoint/--checkpoint-every/"
-            "--checkpoint-wal-bytes require --storage-dir"
-        )
     if args.mmap is not None and not args.recover:
         parser.error("--mmap requires --recover")
-    if args.backend != "auto":
-        set_default_backend(args.backend)
-    print(f"backend: {get_backend().name}", file=sys.stderr)
+    apply_service_arguments(parser, args, checkpoint=args.checkpoint)
 
     if args.selftest:
         return selftest(args)
-
-    if args.listen is not None:
-        # Network serving mode: delegate to the repro.net front end
-        # (same service construction, HTTP/JSON instead of replay).
-        import asyncio
-
-        from repro.net.client import parse_listen
-        from repro.net.config import ServerConfig, load_config
-        from repro.net.__main__ import run_server
-
-        host, port = parse_listen(args.listen)
-        if args.service_config is not None:
-            config = load_config(args.service_config)
-            config = ServerConfig(
-                **{**config.__dict__, "host": host, "port": port}
-            )
-        else:
-            config = ServerConfig(host=host, port=port)
-        print("building service ...", file=sys.stderr)
-        service = build_service(args)
-        try:
-            asyncio.run(run_server(service, config, args.service_config))
-        finally:
-            service.close()
-        return 0
 
     shapes = [s.strip() for s in args.workloads.split(",") if s.strip()]
     unknown = [s for s in shapes if s not in WORKLOADS]
@@ -407,7 +404,7 @@ def main(argv=None) -> int:
         return 2
 
     print("building service ...", file=sys.stderr)
-    service = build_service(args)
+    service = build_service(args, route=args.route, mmap=args.mmap)
     try:
         reports = run_workloads(
             service, shapes, args,

@@ -810,6 +810,18 @@ class TestServeCLI:
             assert excinfo.value.code == 2
         assert "--storage-dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--listen", "127.0.0.1:0"],
+                                      ["--service-config", "service.json"]])
+    def test_server_flags_are_gone(self, argv, capsys):
+        # repro.net is the one server entry point.  Parsing only: a
+        # parser that still took the flag would start serving.
+        from repro.serve.__main__ import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_checkpoint_then_recover_round_trip(self, tmp_path, capsys):
         state = str(tmp_path / "state")
         small = ["--points", "80", "--queries", "10", "--cardinality", "4",
@@ -819,3 +831,61 @@ class TestServeCLI:
         assert self.run(small + ["--storage-dir", state, "--recover"]) == 0
         err = capsys.readouterr().err
         assert "recovered from" in err
+
+
+class TestNetCLI:
+    def test_recover_boots_and_serves_checkpointed_version(self, tmp_path):
+        from repro.net import NetClient, ServerConfig, ServerThread
+        from repro.net.__main__ import build_parser
+        from repro.serve.__main__ import build_service
+
+        state = tmp_path / "state"
+        base = generate(SyntheticConfig(num_points=60, cardinality=4, seed=5))
+        service = SkylineService(
+            base, frequent_value_template(base), storage_dir=state
+        )
+        service.insert_rows([base.row(0)])
+        service.delete_rows([1, 2])
+        service.checkpoint()
+        version, ids = service.version, service.query(use_cache=False).ids
+        service.close()
+
+        args = build_parser().parse_args(
+            ["--storage-dir", str(state), "--recover"]
+        )
+        recovered = build_service(args)
+        try:
+            assert recovered.cache.capacity == 256  # net's default
+            config = ServerConfig(port=0, access_log=False)
+            with ServerThread(recovered, config) as thread:
+                with NetClient(thread.host, thread.port) as client:
+                    answer = client.query(None, use_cache=False)
+            assert answer.status == 200
+            assert answer.json["version"] == version
+            assert answer.json["ids"] == list(ids)
+        finally:
+            recovered.close()
+
+    @pytest.mark.parametrize("argv", [["--recover"],
+                                      ["--checkpoint-every", "4"],
+                                      ["--checkpoint-wal-bytes", "64"]])
+    def test_storage_flags_require_storage_dir(self, argv, capsys):
+        # The check main() runs before it builds anything; calling
+        # main() itself would serve forever if the check were lost.
+        from repro.net.__main__ import build_parser
+        from repro.serve.__main__ import apply_service_arguments
+
+        parser = build_parser()
+        with pytest.raises(SystemExit) as excinfo:
+            apply_service_arguments(parser, parser.parse_args(argv))
+        assert excinfo.value.code == 2
+        assert "--storage-dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--listen", "--follow"])
+    def test_bad_address_is_an_argparse_error(self, flag, capsys):
+        from repro.net.__main__ import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([flag, "8080"])
+        assert excinfo.value.code == 2
+        assert "HOST:PORT" in capsys.readouterr().err
