@@ -366,7 +366,8 @@ class CanonicalRows(Sequence):
         """Float64 block ``[start:stop)`` of the backing matrix, or ``None``.
 
         The vectorized escape hatch consumers use to avoid per-row
-        tuple materialization (rank-matrix syncs, columnar builders).
+        tuple materialization (columnar builders, the base maintainer's
+        group index).
         """
         matrix = self._store.matrix
         return None if matrix is None else matrix[start:stop]

@@ -212,34 +212,6 @@ class RankTable:
             for table, a in zip(self._dims, p)
         )
 
-    def rank_rows_matrix(self, rows):
-        """Vectorized :meth:`rank_vector` over a block of canonical rows.
-
-        Returns an ``(len(rows), m)`` float64 matrix: universal
-        dimensions pass their canonical floats through, nominal columns
-        are remapped value-id -> rank with one gather per dimension
-        (the incremental maintainer's rank matrix syncs whole append
-        blocks through this).  Requires NumPy; rows must be non-empty
-        and rectangular.  Equal ranks can hide incomparable unlisted
-        values (Section 4.2), so dominance kernels must still consult
-        the raw value ids on rank ties.
-        """
-        from repro.engine.columnar import require_numpy
-
-        np = require_numpy()
-        # Always copy: remapping in place would corrupt a caller that
-        # hands in an existing float64 matrix (e.g. a columnar store's).
-        block = np.array(rows, dtype=np.float64)
-        if block.ndim != 2:
-            raise ValueError(
-                "rank_rows_matrix needs a non-empty rectangular block"
-            )
-        for dim, table in enumerate(self._dims):
-            if table is not None:
-                lut = np.asarray(table, dtype=np.float64)
-                block[:, dim] = lut[block[:, dim].astype(np.int64)]
-        return block
-
     def nominal_lut(self, dim: int) -> List[int]:
         """Value id -> rank list of nominal dimension ``dim`` (read only)."""
         table = self._dims[dim]

@@ -244,7 +244,19 @@ class CompiledSweep:
         """Sweep candidates ``sel`` (columns of the full context
         arrays) against accepts ``[t0, t1)``; zero candidate copies -
         the kernel reads ``ctx`` columns through ``sel`` directly.
-        All arrays must already be C-contiguous."""
+        Every array's rows must be contiguous, and ``ctx``'s ranks,
+        values and buckets must share one row stride (an extended
+        context's are views of buffers with equal capacity)."""
+        m, n = ctx.ranks_t.shape
+        stride = ctx.ranks_t.strides[0] // ctx.ranks_t.itemsize if m > 1 else n
+        for a in (ctx.ranks_t, ctx.values_t, ctx.buckets_t):
+            # A length-1 axis's stride is never used (and arbitrary).
+            if a.shape != (m, n) or (
+                m > 1 and a.strides[0] != stride * a.itemsize
+            ) or (n > 1 and a.strides[1] != a.itemsize):
+                raise EngineError(
+                    "context arrays do not share one contiguous row stride"
+                )
         tb = state.tb
         d, K, W = tb.shape
         self._fn(
@@ -260,7 +272,7 @@ class CompiledSweep:
             ctx.values_t.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
             ctx.scores.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
             ctx.buckets_t.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
-            ctx.ranks_t.shape[1],
+            stride,
             sel.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
             sel.shape[0],
             w0, w1, t0, t1,

@@ -76,6 +76,16 @@ class Backend(ABC):
         row-to-column conversion; others ignore it).
         """
 
+    def extend(self, ctx, rows: Sequence[tuple], store=None):
+        """A context over ``rows``, whose prefix ``ctx`` was prepared on.
+
+        For append-only row sequences (a dynamic dataset's slots): a
+        backend may reuse ``ctx``'s arrays and prepare only the new
+        suffix.  ``store``, as in :meth:`prepare`, covers all of
+        ``rows``.  The default prepares afresh.
+        """
+        return self.prepare(rows, ctx.table, store)
+
     # -- scoring ----------------------------------------------------------
     @abstractmethod
     def scores(self, ctx, ids: Sequence[int]) -> List[float]:

@@ -167,6 +167,16 @@ def _quantile_cuts(np, column):
     return np.unique(sample[positions])
 
 
+def _numeric_cuts(store):
+    """Per dimension, a numeric one's quantile cuts (None if nominal)."""
+    np = require_numpy()
+    return [
+        None if j in store.nominal_dims
+        else _quantile_cuts(np, store.matrix_t[j])
+        for j in range(store.num_dims)
+    ]
+
+
 def _bucket_template(store):
     """``(d, n) uint8`` bucket rows: numeric dimensions filled, nominal
     ones zero (each query overwrites those).
@@ -178,11 +188,9 @@ def _bucket_template(store):
     np = require_numpy()
     values_t = store.matrix_t
     template = np.zeros(values_t.shape, dtype=np.uint8)
-    for j in range(store.num_dims):
-        if j not in store.nominal_dims:
-            template[j] = np.searchsorted(
-                _quantile_cuts(np, values_t[j]), values_t[j], side="right"
-            )
+    for j, cuts in enumerate(store.derived(_numeric_cuts)):
+        if cuts is not None:
+            template[j] = np.searchsorted(cuts, values_t[j], side="right")
     template.setflags(write=False)
     return template
 
@@ -204,15 +212,24 @@ def _nominal_bucket_lut(np, rank_lut, ranks):
 
 class _BitsetContext(_NumpyContext):
     """The numpy backend's context plus the ``(d, n) uint8`` bucket
-    matrix; the delegated primitive kernels run on it unchanged."""
+    matrix; the delegated primitive kernels run on it unchanged.
 
-    __slots__ = ("buckets_t",)
+    ``bucket_maps`` holds, per dimension, what bucketed it (a numeric
+    one's cuts, a nominal one's value-id -> bucket table), so
+    :meth:`BitsetBackend.extend` buckets appended rows the same way.
+    """
 
-    def __init__(self, ctx: _NumpyContext, buckets_t) -> None:
+    __slots__ = ("buckets_t", "bucket_maps", "bucket_buffer")
+
+    def __init__(self, ctx: _NumpyContext, buckets_t, bucket_maps,
+                 bucket_buffer=None) -> None:
         super().__init__(
-            ctx.store, ctx.ranks_t, ctx.scores, ctx.nominal, ctx.table, ctx.np
+            ctx.store, ctx.ranks_t, ctx.scores, ctx.nominal, ctx.table,
+            ctx.np, ctx.values_t, ctx.buffers,
         )
         self.buckets_t = buckets_t
+        self.bucket_maps = bucket_maps
+        self.bucket_buffer = bucket_buffer
 
 
 class _AcceptState:
@@ -499,17 +516,49 @@ class BitsetBackend(Backend):
         np = require_numpy()
         store = store_for(rows, table, store)
         buckets_t = store.derived(_bucket_template).copy()
+        bucket_maps = list(store.derived(_numeric_cuts))
 
         def gather_buckets(j, ids, rank_lut, ranks) -> None:
-            np.take(
-                _nominal_bucket_lut(np, rank_lut, ranks), ids,
-                out=buckets_t[j], mode="clip",
-            )
+            lut = bucket_maps[j] = _nominal_bucket_lut(np, rank_lut, ranks)
+            np.take(lut, ids, out=buckets_t[j], mode="clip")
 
         ctx = self._inner.prepare(
             rows, table, store, each_nominal=gather_buckets
         )
-        return _BitsetContext(ctx, buckets_t)
+        return _BitsetContext(ctx, buckets_t, bucket_maps)
+
+    def extend(self, ctx, rows: Sequence[tuple], store=None):
+        """The numpy backend's :meth:`~NumpyBackend.extend`, plus the
+        appended rows' buckets under ``ctx``'s own cuts and tables (any
+        fixed monotone bucketing keeps the packing sound), in a buffer
+        as wide as the rank buffers: the compiled sweep reads every
+        context array with one row stride."""
+        if not self.vectorized:
+            return self.prepare(rows, ctx.table, store)
+        inner = self._inner.extend(ctx, rows, store)
+        if inner is ctx:
+            return ctx
+        np = ctx.np
+        used, total = ctx.scores.shape[0], inner.scores.shape[0]
+        capacity = inner.buffers[2].shape[0]
+        buffer = ctx.bucket_buffer
+        if buffer is None or buffer.shape[1] != capacity:
+            buffer = np.empty((len(ctx.nominal), capacity), dtype=np.uint8)
+            buffer[:, :used] = ctx.buckets_t
+        values = inner.values_t[:, used:]
+        for j, bucket_map in enumerate(ctx.bucket_maps):
+            if ctx.nominal[j]:
+                np.take(
+                    bucket_map, values[j].astype(np.intp),
+                    out=buffer[j, used:total], mode="clip",
+                )
+            else:
+                buffer[j, used:total] = np.searchsorted(
+                    bucket_map, values[j], side="right"
+                )
+        return _BitsetContext(
+            inner, buffer[:, :total], ctx.bucket_maps, buffer
+        )
 
     # -- delegating primitive kernels --------------------------------------
     def scores(self, ctx, ids: Sequence[int]) -> List[float]:

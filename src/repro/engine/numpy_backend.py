@@ -92,16 +92,22 @@ class _NumpyContext:
 
     __slots__ = (
         "store", "ranks_t", "values_t", "scores", "nominal", "table", "np",
+        "buffers",
     )
 
-    def __init__(self, store, ranks_t, scores, nominal, table, np) -> None:
+    def __init__(self, store, ranks_t, scores, nominal, table, np,
+                 values_t=None, buffers=None) -> None:
         self.store = store
         self.ranks_t = ranks_t
-        self.values_t = store.matrix_t
+        self.values_t = store.matrix_t if values_t is None else values_t
         self.scores = scores
         self.nominal = nominal  # per-dimension bool flags
         self.table = table
         self.np = np
+        #: The ``(ranks, values, scores)`` buffers the three arrays are
+        #: prefix views of, with spare columns for
+        #: :meth:`NumpyBackend.extend`; None when they are exact.
+        self.buffers = buffers
 
 
 def store_for(rows: Sequence[tuple], table, store=None) -> ColumnarStore:
@@ -353,6 +359,52 @@ class NumpyBackend(Backend):
                 each_nominal(j, ids, rank_lut, ranks_t[j])
         return _NumpyContext(
             store, ranks_t, ranks_t.sum(axis=0), nominal, table, np
+        )
+
+    def extend(self, ctx, rows: Sequence[tuple], store=None):
+        """``ctx`` grown by the rows appended since it was prepared.
+
+        The arrays become prefix views of buffers with amortised-doubling
+        spare columns, so only the new suffix is copied, gathered and
+        summed; the prefix is never written again, so ``ctx`` stays
+        valid.
+        """
+        np = self._np
+        used, total = ctx.scores.shape[0], len(rows)
+        if total == used:
+            return ctx
+        buffers = ctx.buffers
+        if buffers is None or buffers[2].shape[0] < total:
+            capacity = max(total, 2 * used)
+            old = (ctx.ranks_t, ctx.values_t, ctx.scores)
+            buffers = tuple(
+                np.empty(a.shape[:-1] + (capacity,)) for a in old
+            )
+            for a, buffer in zip(old, buffers):
+                buffer[..., :used] = a
+        ranks_b, values_b, scores_b = buffers
+        values = values_b[:, used:total]
+        values[...] = (
+            store.matrix[used:total] if store is not None
+            else np.asarray(
+                [rows[i] for i in range(used, total)], dtype=np.float64
+            )
+        ).T
+        ranks = ranks_b[:, used:total]
+        ranks[...] = values
+        for j in ctx.table.schema.nominal_indices:
+            rank_lut = np.asarray(ctx.table.nominal_lut(j), dtype=np.float64)
+            np.take(
+                rank_lut, values[j].astype(np.intp), out=ranks[j],
+                mode="clip",
+            )
+        scores = scores_b[used:total]
+        scores[...] = ranks[0]
+        for row in ranks[1:]:  # left to right, as the reference adds
+            scores += row
+        return _NumpyContext(
+            store, ranks_b[:, :total], scores_b[:total], ctx.nominal,
+            ctx.table, np, values_b[:, :total], buffers,
         )
 
     def _ids_array(self, ctx, ids):

@@ -53,7 +53,7 @@ from repro.core.preferences import (
     canonical_cache_key,
 )
 from repro.core.skyline import skyline
-from repro.engine import resolve_backend
+from repro.engine import get_backend, resolve_backend
 from repro.exceptions import (
     EngineError,
     ReproError,
@@ -72,7 +72,7 @@ from repro.serve.cache import CacheStats, SemanticCache
 from repro.storage.snapshot import dataset_state, restore_dataset
 from repro.storage.store import CheckpointPolicy, DurableStore
 from repro.updates.dataset import DynamicDataset
-from repro.updates.incremental import IncrementalSkyline, UpdateEffect
+from repro.updates.incremental import IncrementalSkyline, UpdateEffect, admit
 from repro.updates.rwlock import ReadWriteLock
 from repro.serve.planner import (
     ROUTES,
@@ -1473,20 +1473,20 @@ class SkylineService:
     def _insert_patcher(self, new_ids: List[int]):
         """Entry revision function applying an insert batch exactly.
 
-        For any preference, the skyline of ``D + {p}`` is the old
-        skyline minus the members ``p`` dominates, plus ``p`` unless a
-        member dominates it (an evicted member's former victims stay
-        dominated by transitivity) - so every cached entry can be
-        patched without recomputation.  Rank tables are compiled at
-        most once per distinct cached key over the *service lifetime*
-        (the table is a pure function of the immutable key + schema),
-        from the canonical key itself.
+        Every cached entry is patched without recomputation by the
+        maintainers' insert rule (:func:`~repro.updates.incremental.admit`),
+        on a python-backend context: its prepare is free, where a
+        vectorized one over every slot would cost more than the patch.
+        Rank tables are compiled at most once per distinct cached key
+        over the *service lifetime* (the table is a pure function of
+        the immutable key + schema), from the canonical key itself.
         """
         dyn = self._dynamic
         assert dyn is not None
         rows = dyn.canonical_rows
         schema = self.dataset.schema
         tables = self._patch_tables
+        python = get_backend("python")
 
         def patch(key, cached):
             table = tables.get(key)
@@ -1497,16 +1497,16 @@ class SkylineService:
                     {name: ImplicitPreference(chain) for name, chain in key}
                 )
                 table = tables[key] = RankTable.compile(schema, pref)
-            dominates = table.dominates
+            ctx = python.prepare(rows, table)
             members = list(cached)
             changed = False
             for point_id in new_ids:
-                p = rows[point_id]
-                if any(dominates(rows[m], p) for m in members):
+                evicted = admit(python, ctx, members, point_id)
+                if evicted is None:
                     continue
-                members = [
-                    m for m in members if not dominates(p, rows[m])
-                ] + [point_id]
+                gone = set(evicted)
+                members = [m for m in members if m not in gone]
+                members.append(point_id)
                 changed = True
             return tuple(sorted(members)) if changed else cached
 

@@ -69,6 +69,7 @@ class DynamicDataset:
         self._dead = 0
         self._version = 0
         self._snapshot_cache: Optional[Tuple[int, Dataset, Tuple[int, ...]]] = None
+        self._ids_cache: Optional[List[int]] = None
         self._columns_cache = None
         self._column_builder: Optional[_GrowableColumns] = None
         self._columns_lock = threading.Lock()
@@ -172,10 +173,18 @@ class DynamicDataset:
 
     @property
     def ids(self) -> List[int]:
-        """Ids of the *live* points, ascending."""
-        if not self._dead:
-            return list(range(len(self._raw)))
-        return [i for i, alive in enumerate(self._alive) if alive]
+        """Ids of the *live* points, ascending.
+
+        Cached per version and shared between callers: read it, never
+        mutate it (copy with ``list(...)`` to edit).
+        """
+        if self._ids_cache is None:
+            self._ids_cache = (
+                [i for i, alive in enumerate(self._alive) if alive]
+                if self._dead
+                else list(range(len(self._raw)))
+            )
+        return self._ids_cache
 
     @property
     def num_slots(self) -> int:
@@ -435,6 +444,7 @@ class DynamicDataset:
     def _bump(self) -> None:
         self._version += 1
         self._snapshot_cache = None
+        self._ids_cache = None
         self._columns_cache = None
 
     def _check_live(self, point_id: int) -> None:
@@ -444,23 +454,6 @@ class DynamicDataset:
             raise DatasetError(f"no point with id {point_id}")
         if not self._alive[point_id]:
             raise DatasetError(f"point {point_id} was deleted")
-
-
-def grow_matrix(np, matrix, size: int, total: int):
-    """Amortised-doubling growth of a row-major matrix.
-
-    Returns the (possibly reallocated) matrix, same dtype, with capacity
-    for ``total`` rows and the first ``size`` rows copied over.  Shared
-    by the columnar builder here and the rank-matrix sweeps in
-    :mod:`repro.updates.incremental` so the growth policy cannot
-    diverge between them.
-    """
-    if total > matrix.shape[0]:
-        capacity = max(total, 2 * matrix.shape[0], 64)
-        grown = np.empty((capacity, matrix.shape[1]), dtype=matrix.dtype)
-        grown[:size] = matrix[:size]
-        return grown
-    return matrix
 
 
 class _GrowableColumns:
@@ -491,7 +484,12 @@ class _GrowableColumns:
 
         np = self._np
         total = len(rows)
-        self._matrix = grow_matrix(np, self._matrix, self._size, total)
+        capacity, width = self._matrix.shape
+        if total > capacity:
+            # Amortised doubling: reallocate, keep the committed prefix.
+            grown = np.empty((max(total, 2 * capacity, 64), width))
+            grown[: self._size] = self._matrix[: self._size]
+            self._matrix = grown
         if total > self._size:
             block_of = getattr(rows, "matrix_block", None)
             block = (

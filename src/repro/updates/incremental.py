@@ -18,32 +18,62 @@ can be recomputed, because single-row updates have *local* effects:
   dominator ``q`` is dominated by some member ``m``; ``m`` dominates
   the candidate too, so exclusivity forces ``m = p``, putting ``q`` in
   the region as well).
+* **groups under the base order** ``R0``: when the preference lists no
+  value on any nominal dimension, every nominal value takes its
+  dimension's default rank, and two distinct values sharing a rank are
+  incomparable, which blocks dominance in both directions.  So ``p``
+  can dominate ``q`` only if both carry the same value on every nominal
+  dimension: dominance never crosses *groups* (rows with equal nominal
+  tuples), and ``SKY(R0)`` is the union of the per-group skylines
+  (numeric skylines, as the nominal values are equal inside a group).
+  Hence an inserted row can be dominated by, and evict, only members of
+  its own group; a deleted member's exclusive region lies in its own
+  group, and only that group's members can dominate a row of it.
 
 :class:`IncrementalSkyline` implements exactly that per compiled
-preference (one maintainer per template the serving layer keeps hot).
-The per-update dominance sweeps run over an incrementally grown rank
-matrix when NumPy is available (appends write one row; nothing is ever
-re-encoded) and fall back to tuple-at-a-time
-:meth:`~repro.core.dominance.RankTable.dominates` otherwise; the
-entrant minima of a delete run through the configured engine backend's
-skyline kernel on the candidate subset only.  Dominance semantics are
-the paper's: on nominal dimensions two distinct *unlisted* values share
-the default rank but are **incomparable**, which the key matrix
-preserves under vectorization.
+preference (one maintainer per template the serving layer keeps hot),
+and its only dominance code is the engine backend's kernels: an insert
+is ``any_dominates`` plus ``dominates_mask`` (:func:`admit`, which the
+serving layer's cache patcher shares); a member delete is
+``dominates_mask`` over the live rows, ``dominated_any`` of the
+shadowed rows against the remaining members, and the backend's
+``skyline`` over the exclusive candidates.  They run on one context
+over every slot, cached on the dataset's ``(compactions, num_slots)``:
+a tombstone changes no slot, so a delete batch reuses its insert
+batch's context, and an appended batch grows it by its own rows
+(``backend.extend``); only a compaction costs a fresh
+``backend.prepare``.  A maintainer whose table lists no nominal value
+keys its live rows and its members by nominal tuple and runs the same
+steps over the row's group alone.  A step that touches at most
+:data:`PYTHON_GROUP_ROWS` rows (the group's members for an insert, its
+rows for a delete) runs on the python reference kernels, whose prepare
+is free; a larger one runs on the configured backend's cached context,
+restricted to the group's ids (a schema without nominal dimensions
+has one group of every row, and small domains give large groups).
+Dominance semantics are the paper's: on nominal dimensions two
+distinct *unlisted* values share the default rank but are
+**incomparable**.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.algorithms.sfs import sfs_skyline
 from repro.core.dominance import RankTable
 from repro.core.preferences import Preference
-from repro.engine import resolve_backend
-from repro.engine.columnar import numpy_available
+from repro.engine import get_backend, resolve_backend
 from repro.exceptions import DatasetError
-from repro.updates.dataset import DynamicDataset, grow_matrix
+from repro.updates.dataset import DynamicDataset
+
+#: Largest grouped step (rows it tests) run on the python reference
+#: kernels.  A python kernel costs under a microsecond per row tested
+#: (and the insert test stops at the first dominator), a vectorized
+#: call tens to hundreds of microseconds whatever its size; on a 20k-row
+#: corpus with three numeric dimensions the two cross at 500 to 1000
+#: rows.
+PYTHON_GROUP_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -70,6 +100,22 @@ class UpdateEffect:
     def dirty(self) -> Tuple[int, ...]:
         """Ids whose membership flipped (entered + evicted)."""
         return self.entered + self.evicted
+
+
+def admit(
+    backend, ctx, members: Sequence[int], point_id: int
+) -> Optional[List[int]]:
+    """The insert rule: the members ``point_id`` evicts, or ``None``.
+
+    ``None`` means some member dominates ``point_id``, so the skyline
+    is unchanged; otherwise the point joins and evicts exactly the
+    returned members.  ``ctx`` is ``backend``'s context over rows that
+    include the point and every member.
+    """
+    if backend.any_dominates(ctx, point_id, members):
+        return None
+    mask = backend.dominates_mask(ctx, point_id, members)
+    return [m for m, hit in zip(members, mask) if hit]
 
 
 class IncrementalSkyline:
@@ -104,9 +150,16 @@ class IncrementalSkyline:
         self.data = data
         self.table = RankTable.compile(data.schema, preference, template)
         self.backend = resolve_backend(backend)
-        self._matrix: Optional[_RankMatrix] = (
-            _RankMatrix(self.table, data.schema) if numpy_available() else None
+        self._nominal = tuple(data.schema.nominal_indices)
+        self._grouped = not any(
+            self.table.listed_count(dim) for dim in self._nominal
         )
+        self._python = get_backend("python")
+        #: ``(group, members)`` id sets per nominal tuple (grouped
+        #: maintainers only), built on the first update that needs it.
+        self._groups: Optional[Dict[tuple, Tuple[Set[int], Set[int]]]] = None
+        self._ctx = None
+        self._ctx_key: Optional[Tuple[int, int]] = None
         # ``members`` is the trusted-restore path: a caller re-attaching
         # a maintainer to state it previously exported (the durability
         # layer restoring a checkpoint) passes the persisted member ids
@@ -114,14 +167,7 @@ class IncrementalSkyline:
         # taken as-is; the kill-and-recover differential tests verify
         # they equal a fresh rebuild.
         self._members: Set[int] = (
-            set(members)
-            if members is not None
-            else set(
-                sfs_skyline(
-                    data.canonical_rows, data.ids, self.table,
-                    backend=self.backend,
-                )
-            )
+            set(members) if members is not None else self._compute()
         )
         self._ids_cache: Optional[Tuple[int, ...]] = None
         self._compactions = data.compactions
@@ -144,30 +190,31 @@ class IncrementalSkyline:
     def insert(self, point_id: int) -> UpdateEffect:
         """Absorb a row already appended to the dataset.
 
-        O(|skyline|) dominance tests; evicts the members the new point
-        dominates and admits it unless a member dominates it.
+        Tests the new point against the members (of its group, under
+        the base order); evicts the members it dominates and admits it
+        unless a member dominates it.
         """
         self._check_not_compacted()
         if not self.data.is_live(point_id):
             raise DatasetError(
                 f"insert({point_id}): append the row to the dataset first"
             )
-        rows = self.data.canonical_rows
-        members = self._members
-        if self._matrix is not None:
-            self._matrix.sync(rows)
-            member_list = list(members)
-            if self._matrix.any_dominator(point_id, member_list):
-                return UpdateEffect("insert", point_id, (), ())
-            evicted = self._matrix.dominated_by(point_id, member_list)
+        if self._grouped:
+            group, group_members = self._group_of(point_id)
+            group.add(point_id)
+            members = list(group_members)
+            engine, ctx = self._kernels(len(members))
         else:
-            dominates = self.table.dominates
-            p = rows[point_id]
-            if any(dominates(rows[m], p) for m in members):
-                return UpdateEffect("insert", point_id, (), ())
-            evicted = [m for m in members if dominates(p, rows[m])]
-        members.difference_update(evicted)
-        members.add(point_id)
+            members = list(self._members)
+            engine, ctx = self.backend, self._context()
+        evicted = admit(engine, ctx, members, point_id)
+        if evicted is None:
+            return UpdateEffect("insert", point_id, (), ())
+        self._members.difference_update(evicted)
+        self._members.add(point_id)
+        if self._grouped:
+            group_members.difference_update(evicted)
+            group_members.add(point_id)
         self._ids_cache = None
         return UpdateEffect(
             "insert", point_id, (point_id,), tuple(sorted(evicted))
@@ -176,52 +223,47 @@ class IncrementalSkyline:
     def delete(self, point_id: int) -> UpdateEffect:
         """Absorb a deletion already tombstoned in the dataset.
 
-        Non-members are O(1).  For a member, only its exclusive
-        dominance region is recomputed: the candidates are found with
-        one vectorized sweep, and their mutual minima - the new
-        entrants - run through the engine backend's skyline kernel on
-        that candidate subset alone.
+        Non-members are O(1) (plus dropping the row from its group).
+        For a member, only its exclusive dominance region is
+        recomputed: the rows it dominates, screened against the other
+        members, and the mutual minima of the survivors enter.
         """
         self._check_not_compacted()
         if self.data.is_live(point_id):
             raise DatasetError(
                 f"delete({point_id}): tombstone the row in the dataset first"
             )
+        if self._grouped:
+            group, group_members = self._group_of(point_id)
+            group.discard(point_id)
         if point_id not in self._members:
             return UpdateEffect("delete", point_id, (), ())
         self._members.discard(point_id)
         self._ids_cache = None
-        rows = self.data.canonical_rows
-        members = self._members
-        # The one-vs-all sweep runs over *all* live ids: a surviving
-        # member cannot be dominated by the removed member (both were
-        # skyline members, hence mutually non-dominated), so members
-        # drop out of `shadowed` by themselves and no O(n) outsider
-        # pre-filter is needed.
-        live = self.data.ids
-
-        member_list = list(members)
-        if self._matrix is not None:
-            self._matrix.sync(rows)
-            shadowed = self._matrix.dominated_by(point_id, live)
-            flags = self._matrix.dominators_exist(shadowed, member_list)
-            exclusive = [
-                i for i, dominated in zip(shadowed, flags) if not dominated
-            ]
+        # The sweep runs over every live row (of the group): a
+        # surviving member cannot be dominated by the removed member
+        # (both were skyline members, hence mutually non-dominated), so
+        # members drop out of `shadowed` by themselves.  A group still
+        # holds the rows tombstoned in this batch whose own delete is
+        # pending; they screen as members but never enter.
+        if self._grouped:
+            group_members.discard(point_id)
+            block: Sequence[int] = list(group)
+            members = list(group_members)
+            engine, ctx = self._kernels(len(block))
         else:
-            dominates = self.table.dominates
-            removed = rows[point_id]
-            member_rows = [rows[m] for m in member_list]
-            shadowed = [
-                i for i in live if dominates(removed, rows[i])
-            ]
-            exclusive = [
-                i
-                for i in shadowed
-                if not any(dominates(q, rows[i]) for q in member_rows)
-            ]
-        entered = self._subset_skyline(exclusive)
-        members.update(entered)
+            block = self.data.ids
+            members = list(self._members)
+            engine, ctx = self.backend, self._context()
+        mask = engine.dominates_mask(ctx, point_id, block)
+        is_live = self.data.is_live
+        shadowed = [i for i, hit in zip(block, mask) if hit and is_live(i)]
+        screened = engine.dominated_any(ctx, shadowed, members)
+        exclusive = [i for i, hit in zip(shadowed, screened) if not hit]
+        entered = engine.skyline(ctx, exclusive) if exclusive else []
+        self._members.update(entered)
+        if self._grouped:
+            group_members.update(entered)
         return UpdateEffect(
             "delete", point_id, tuple(sorted(entered)), (point_id,)
         )
@@ -232,153 +274,100 @@ class IncrementalSkyline:
         Serves two roles: the verification oracle of the metamorphic
         tests, and the one legitimate way to re-attach a maintainer
         after :meth:`DynamicDataset.compact` reassigned the id space
-        (the stale rank matrix is discarded alongside the members).
+        (the group index is discarded alongside the members).
         """
-        if self._matrix is not None:
-            self._matrix = _RankMatrix(self.table, self.data.schema)
-        self._members = set(
-            sfs_skyline(
-                self.data.canonical_rows, self.data.ids, self.table,
-                backend=self.backend,
-            )
-        )
+        self._groups = None
+        self._members = self._compute()
         self._ids_cache = None
         self._compactions = self.data.compactions
         return self.ids
 
+    # -- internals ---------------------------------------------------------
+    def _compute(self) -> Set[int]:
+        """The skyline of the live rows, from scratch on the backend."""
+        data = self.data
+        return set(
+            sfs_skyline(
+                data.canonical_rows, data.ids, self.table,
+                backend=self.backend,
+                store=data.columns if self.backend.vectorized else None,
+            )
+        )
+
+    def _context(self):
+        """The backend's context over every slot, one per slot count:
+        extended by the appended rows alone, prepared afresh only after
+        a compaction reassigned the slots."""
+        data = self.data
+        key = (data.compactions, data.num_slots)
+        if self._ctx_key != key:
+            backend = self.backend
+            store = data.columns if backend.vectorized else None
+            if self._ctx_key is not None and self._ctx_key[0] == key[0]:
+                self._ctx = backend.extend(
+                    self._ctx, data.canonical_rows, store
+                )
+            else:
+                self._ctx = backend.prepare(
+                    data.canonical_rows, self.table, store=store
+                )
+            self._ctx_key = key
+        return self._ctx
+
+    def _kernels(self, size: int):
+        """The engine and context for a grouped step over ``size`` rows."""
+        if size <= PYTHON_GROUP_ROWS:
+            python = self._python
+            return python, python.prepare(self.data.canonical_rows, self.table)
+        return self.backend, self._context()
+
+    def _group_of(self, point_id: int) -> Tuple[Set[int], Set[int]]:
+        """The ``(group, members)`` ids sharing ``point_id``'s nominal tuple.
+
+        ``group`` holds the live ids plus the ones tombstoned since the
+        maintainer last absorbed a delete of them (a member tombstoned
+        in the current batch still screens until its own delete is
+        absorbed).  The index is built once, over the live rows plus
+        the members; the nominal values are read from the rows' float
+        block when they expose one (a store-backed base), so no row
+        tuple is materialized.
+        """
+        rows = self.data.canonical_rows
+        nominal = self._nominal
+        if self._groups is None:
+            live = sorted(self._members.union(self.data.ids))
+            block_of = getattr(rows, "matrix_block", None)
+            block = block_of(0, len(rows)) if block_of is not None else None
+            if block is None:
+                keys = [tuple(rows[i][d] for d in nominal) for i in live]
+            else:
+                keys = block[live][:, list(nominal)].astype(int).tolist()
+            groups: Dict[tuple, Tuple[Set[int], Set[int]]] = {}
+            members = self._members
+            for point, key in zip(live, keys):
+                group = groups.get(tuple(key))
+                if group is None:
+                    group = groups[tuple(key)] = (set(), set())
+                group[0].add(point)
+                if point in members:
+                    group[1].add(point)
+            self._groups = groups
+        row = rows[point_id]
+        key = tuple(row[d] for d in nominal)
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = (set(), set())
+        return group
+
     def _check_not_compacted(self) -> None:
         """Fail fast when the dataset was compacted under this maintainer.
 
-        Compaction reassigns every id, invalidating both the member set
-        and the cached rank rows; silently absorbing further updates
-        would produce wrong skylines with no diagnostic.
+        Compaction reassigns every id, invalidating the member set and
+        the group index; silently absorbing further updates would
+        produce wrong skylines with no diagnostic.
         """
         if self.data.compactions != self._compactions:
             raise DatasetError(
                 "the dataset was compacted since this maintainer last "
                 "synced; call rebuild() to re-attach it"
             )
-
-    def _subset_skyline(self, candidate_ids: List[int]) -> List[int]:
-        """Engine-kernel skyline restricted to ``candidate_ids``.
-
-        The candidates are re-packed into a dense sub-problem so the
-        kernel's context covers exactly the subset (no O(n) prepare).
-        """
-        if len(candidate_ids) <= 1:
-            return candidate_ids
-        rows = self.data.canonical_rows
-        packed = [rows[i] for i in candidate_ids]
-        local = sfs_skyline(
-            packed, range(len(packed)), self.table, backend=self.backend
-        )
-        return [candidate_ids[i] for i in local]
-
-
-class _RankMatrix:
-    """Incrementally grown (ranks, keys) matrices for one compiled table.
-
-    The vectorized twin of :meth:`RankTable.dominates` for
-    one-against-many sweeps: appends write a single pre-computed rank
-    row (amortised-doubling capacity), and each sweep is one NumPy pass
-    over the selected ids.  Key ties on nominal dimensions block
-    dominance both ways, preserving the unlisted-values-incomparable
-    semantics.
-    """
-
-    def __init__(self, table: RankTable, schema) -> None:
-        import numpy as np
-
-        self._np = np
-        self._table = table
-        self._nominal = np.asarray(schema.nominal_indices, dtype=np.int64)
-        self._size = 0
-        self._ranks = np.empty((0, len(schema)), dtype=np.float64)
-        self._keys = np.empty((0, len(schema)), dtype=np.int32)
-
-    #: Append blocks at least this long take the vectorized fill; the
-    #: steady state (one row per absorbed update) stays on the cheap
-    #: tuple path, while a maintainer (re-)attaching to a large dataset
-    #: - recovery, first mutation of a big service - syncs in one pass.
-    BULK_SYNC_THRESHOLD = 64
-
-    def sync(self, rows: Sequence[tuple]) -> None:
-        """Extend the matrices to cover every row of ``rows``."""
-        np = self._np
-        total = len(rows)
-        if total <= self._size:
-            return
-        self._ranks = grow_matrix(np, self._ranks, self._size, total)
-        self._keys = grow_matrix(np, self._keys, self._size, total)
-        size = self._size
-        if total - size >= self.BULK_SYNC_THRESHOLD:
-            # Convert the tuple block once; rank_rows_matrix copies its
-            # input (cheap from an ndarray) before remapping in place.
-            # A borrowed (mmap-backed) row sequence hands over a matrix
-            # slice directly, skipping tuple materialisation entirely.
-            block = getattr(rows, "matrix_block", None)
-            raw = block(size, total) if block is not None else None
-            if raw is None:
-                raw = np.asarray(rows[size:total], dtype=np.float64)
-            self._ranks[size:total] = self._table.rank_rows_matrix(raw)
-            for dim in self._nominal:
-                self._keys[size:total, dim] = raw[:, dim].astype(np.int32)
-        else:
-            rank_vector = self._table.rank_vector
-            for i in range(size, total):
-                row = rows[i]
-                self._ranks[i] = rank_vector(row)
-                for dim in self._nominal:
-                    self._keys[i, dim] = row[dim]
-        self._size = total
-
-    def dominated_by(self, p: int, ids: List[int]) -> List[int]:
-        """The subset of ``ids`` dominated by point ``p``."""
-        if not ids:
-            return []
-        np = self._np
-        idx = np.asarray(ids, dtype=np.int64)
-        ranks, keys = self._ranks, self._keys
-        rp, kp = ranks[p], keys[p]
-        block_r = ranks[idx]
-        mask = (rp <= block_r).all(axis=1) & (rp < block_r).any(axis=1)
-        nom = self._nominal
-        if nom.size:
-            tied = (block_r[:, nom] == rp[nom]) & (
-                keys[idx][:, nom] != kp[nom]
-            )
-            mask &= ~tied.any(axis=1)
-        return idx[mask].tolist()
-
-    def any_dominator(self, p: int, ids: List[int]) -> bool:
-        """True iff any point of ``ids`` dominates point ``p``."""
-        return self.dominators_exist([p], ids)[0] if ids else False
-
-    def dominators_exist(self, targets: List[int], ids: List[int]) -> List[bool]:
-        """Per target: does any point of ``ids`` dominate it?
-
-        The ``ids`` block is gathered once and reused across targets -
-        the delete path's exclusive-region screen calls this with every
-        shadowed candidate against the full member set.
-        """
-        if not targets:
-            return []
-        if not ids:
-            return [False] * len(targets)
-        np = self._np
-        idx = np.asarray(ids, dtype=np.int64)
-        ranks, keys = self._ranks, self._keys
-        block_r = ranks[idx]
-        nom = self._nominal
-        block_k = keys[idx][:, nom] if nom.size else None
-        out = []
-        for p in targets:
-            rp = ranks[p]
-            mask = (block_r <= rp).all(axis=1) & (block_r < rp).any(axis=1)
-            if block_k is not None:
-                tied = (block_r[:, nom] == rp[nom]) & (
-                    block_k != keys[p][nom]
-                )
-                mask &= ~tied.any(axis=1)
-            out.append(bool(mask.any()))
-        return out

@@ -180,3 +180,52 @@ def test_prepare_matches_python_reference(
     with contextlib.ExitStack() as stack:
         for canonical, store in STORES[store_kind](rows, victims, stack):
             check_context(backend, canonical, table, store)
+
+
+@pytest.mark.parametrize("backend_name", sorted(BACKENDS))
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(rows=rows_strategy, preference=preference_strategy, data=st.data())
+def test_extend_matches_python_reference(
+    backend_name, rows, preference, data
+):
+    """A context grown batch by batch over a dynamic dataset's appends
+    holds the reference ranks, values and scores, buckets that stay
+    monotone in rank across old and new columns, and gives the
+    reference skyline and dominated-any verdicts."""
+    import numpy as np
+
+    backend = BACKENDS[backend_name]()
+    python = get_backend("python")
+    table = RankTable.compile(SCHEMA, preference)
+    cuts = sorted(
+        data.draw(st.lists(st.integers(1, len(rows) - 1), max_size=4))
+    )
+    dynamic = DynamicDataset(SCHEMA, rows[: cuts[0] if cuts else len(rows)])
+    ctx = backend.prepare(
+        dynamic.canonical_rows, table, store=dynamic.columns
+    )
+    for start, stop in zip(cuts, cuts[1:] + [len(rows)]):
+        dynamic.append(rows[start:stop])
+        ctx = backend.extend(ctx, dynamic.canonical_rows, dynamic.columns)
+    canonical = dynamic.canonical_rows
+    ids = list(range(len(canonical)))
+    check = python.prepare(canonical, table)
+    assert ctx.ranks_t.shape[1] == len(canonical)
+    for i, row in enumerate(canonical):
+        assert tuple(ctx.ranks_t[:, i].tolist()) == table.rank_vector(row)
+    assert np.array_equal(ctx.values_t, np.asarray(canonical).T)
+    assert ctx.scores.tolist() == python.scores(check, ids)
+    for ranks, buckets in zip(ctx.ranks_t, getattr(ctx, "buckets_t", ())):
+        order = np.lexsort((buckets, ranks))
+        steps = np.diff(buckets[order].astype(int))
+        assert (steps >= 0).all()
+        assert (steps[np.diff(ranks[order]) == 0] == 0).all()
+    assert backend.skyline(ctx, ids) == python.skyline(check, ids)
+    half = ids[: len(ids) // 2]
+    assert backend.dominated_any(ctx, ids, half) == python.dominated_any(
+        check, ids, half
+    )

@@ -92,6 +92,20 @@ class TestDynamicDataset:
         assert data.row(0) == (8, 7, "H")
         assert data.deleted_fraction == 0.0
 
+    def test_ids_track_liveness_across_every_mutation(self):
+        data = small_dynamic()
+        expected = lambda: [i for i, a in enumerate(data.alive_flags) if a]
+        assert data.ids == expected()
+        data.append([(1, 1, "T"), (2, 2, "H")])
+        assert data.ids == expected() == [0, 1, 2, 3, 4, 5]
+        data.delete([1, 4])
+        assert data.ids == expected() == [0, 2, 3, 5]
+        assert data.ids is data.ids  # cached within a version
+        data.compact()
+        assert data.ids == expected() == [0, 1, 2, 3]
+        data.append([(3, 3, "M")])
+        assert data.ids == expected() == [0, 1, 2, 3, 4]
+
     def test_compact_on_clean_data_is_identity(self):
         data = small_dynamic()
         version = data.version
