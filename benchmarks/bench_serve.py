@@ -18,11 +18,13 @@ A final section replays the hot workload sequentially and through
 services, cached and uncached, recording the batched-over-sequential
 throughput ratios.
 
-The recorded baseline lives in ``BENCH_serve.json`` at the repo root::
+The recorded baseline lives in ``BENCH_serve.json`` at the repo root,
+written at the default sizes::
 
-    PYTHONPATH=src python benchmarks/bench_serve.py
-    PYTHONPATH=src python benchmarks/bench_serve.py \
-        --points 4000 --queries 400 --out BENCH_serve.json
+    PYTHONPATH=src python benchmarks/bench_serve.py --out BENCH_serve.json
+
+Without ``--out`` the report is printed; larger runs pass e.g.
+``--points 4000 --queries 400``.
 
 Latency numbers are per-query service time (not queue time) under the
 given driver concurrency; see ``docs/architecture.md`` for the planner

@@ -46,6 +46,7 @@ from repro.exceptions import PreferenceError, UnsupportedQueryError
 from repro.ipo.node import IPONode
 from repro.ipo.query import evaluate_bitmap, evaluate_sets, evaluate_survivors
 from repro.mdc.mdc import (
+    ConditionStore,
     DisqualifyingCondition,
     compute_mdcs,
     template_positions,
@@ -138,6 +139,10 @@ class IPOTree:
         self._value_masks: Optional[List[Dict[int, int]]] = None
         if payload == "bitmap":
             self._attach_masks()
+        #: The condition store an ``"mdc"``-engine build evaluated its
+        #: nodes with; ``None`` for other trees and after a
+        #: :meth:`refresh`, which does not maintain it.
+        self.conditions: Optional[ConditionStore] = None
         # Per-member MDCs retained for refresh(); filled by the "mdc"
         # construction engine, recomputed lazily on the first refresh of
         # a "direct"-built tree.
@@ -246,7 +251,8 @@ class IPOTree:
             stats,
         )
         if engine == "mdc":
-            tree._refresh_mdcs = builder._mdcs
+            tree.conditions = builder.conditions
+            tree._refresh_mdcs = builder.conditions.mdcs
         return tree
 
     # ------------------------------------------------------------------
@@ -395,6 +401,7 @@ class IPOTree:
 
         self.dataset = source
         self._refresh_mdcs = new_mdcs
+        self.conditions = None
         nodes_visited = entries_updated = 0
         if dirty:
             positions = template_positions(self.template, source.schema)
@@ -611,7 +618,13 @@ class _DirectBuilder:
 
 
 class _MDCBuilder:
-    """Disqualified sets via minimal disqualifying conditions (paper)."""
+    """Disqualified sets via minimal disqualifying conditions (paper).
+
+    A node's labels fold into the template positions as one-value
+    chains ``{label: 0}``, which :meth:`DisqualifyingCondition.satisfied_by`
+    treats exactly like its ``labels`` argument: the winner must be the
+    label, and any other loser is unlisted.
+    """
 
     def __init__(
         self,
@@ -621,24 +634,16 @@ class _MDCBuilder:
         skyline_ids: Tuple[int, ...],
         backend=None,
     ) -> None:
-        self._rows = dataset.canonical_rows
-        self._skyline_ids = skyline_ids
-        self._mdcs: Dict[int, List[DisqualifyingCondition]] = compute_mdcs(
+        self.conditions = ConditionStore.compute(
             dataset, skyline_ids, backend=backend
         )
         self._template_positions = template_positions(template, dataset.schema)
 
     def disqualified(self, labels: Mapping[int, int]) -> frozenset:
-        out = set()
-        rows = self._rows
-        positions = self._template_positions
-        for point_id in self._skyline_ids:
-            loser = rows[point_id]
-            for condition in self._mdcs[point_id]:
-                if condition.satisfied_by(labels, positions, loser):
-                    out.add(point_id)
-                    break
-        return frozenset(out)
+        positions = dict(self._template_positions)
+        for dim, vid in labels.items():
+            positions[dim] = {vid: 0}
+        return frozenset(self.conditions.disqualified(positions))
 
 
 def _grow(

@@ -2,6 +2,7 @@
 
 from repro.mdc.filter import MDCFilter
 from repro.mdc.mdc import (
+    ConditionStore,
     DisqualifyingCondition,
     compute_mdcs,
     minimal_conditions,
@@ -9,6 +10,7 @@ from repro.mdc.mdc import (
 )
 
 __all__ = [
+    "ConditionStore",
     "DisqualifyingCondition",
     "MDCFilter",
     "compute_mdcs",

@@ -11,10 +11,14 @@ The IPO-tree uses the same machinery at *construction* time (Section
 * preprocessing: one MDC computation, ``O(|SKY(R0)|^2 * m)`` - far
   below IPO-tree construction, slightly above Adaptive SFS,
 * storage: the conditions themselves (typically a handful per point),
-* query: ``O(|SKY(R~)| * avg #MDC * x)`` containment tests - slower
-  than an IPO-tree lookup, faster than SFS-D, and supporting *any*
-  value (no popular-value restriction), which makes it an alternative
-  fallback for the hybrid deployment.
+* query: over the ``C`` conditions of all template-skyline members,
+  one lookup-table gather and compare per nominal dimension, plus one
+  scatter to the owning members (:class:`~repro.mdc.mdc.ConditionStore`;
+  without NumPy, ``C`` containment tests in Python) - faster than
+  SFS-D (and, on NumPy, than an IPO-tree lookup on the serving
+  benchmark's corpus), and supporting *any* value (no popular-value
+  restriction), which makes it an alternative fallback for the hybrid
+  deployment.
 
 Containment test for a general implicit preference ``R~'_i`` with chain
 positions ``pos``: the required pair ``(u, w)`` is in ``P(R~'_i)`` iff
@@ -31,7 +35,11 @@ from repro.core.dataset import Dataset
 from repro.core.dominance import RankTable
 from repro.core.preferences import Preference
 from repro.engine import resolve_backend
-from repro.mdc.mdc import DisqualifyingCondition, compute_mdcs
+from repro.mdc.mdc import (
+    ConditionStore,
+    DisqualifyingCondition,
+    template_positions,
+)
 
 
 class MDCFilter:
@@ -52,6 +60,7 @@ class MDCFilter:
         *,
         skyline_ids=None,
         base_skyline_ids=None,
+        conditions: Optional[ConditionStore] = None,
     ) -> None:
         """Build the filter; optionally reuse maintained skylines.
 
@@ -59,8 +68,12 @@ class MDCFilter:
         (the base skyline, the candidate dominators of the MDC
         computation) skip the two O(n) kernel scans when a caller
         already maintains them - the serving layer's incremental
-        maintainers and the recovery path both do.  They are trusted
-        as-is; passing stale ids yields a stale filter.
+        maintainers and the recovery path both do.  ``conditions``
+        skips the MDC computation itself: a store computed for
+        ``skyline_ids`` over the same data, such as an MDC-built
+        IPO-tree's :attr:`~repro.ipo.tree.IPOTree.conditions`.  All
+        three are trusted as-is; passing stale ones yields a stale
+        filter.
         """
         started = time.perf_counter()
         self.dataset = dataset
@@ -86,73 +99,26 @@ class MDCFilter:
                     )
                 )
             )
-        self._mdcs: Dict[int, List[DisqualifyingCondition]] = compute_mdcs(
-            dataset,
-            self.skyline_ids,
-            candidates=(
-                list(base_skyline_ids)
-                if base_skyline_ids is not None
-                else None
-            ),
-            backend=self.backend,
-        )
+        if conditions is None:
+            conditions = ConditionStore.compute(
+                dataset,
+                self.skyline_ids,
+                candidates=base_skyline_ids,
+                backend=self.backend,
+            )
+        self._conditions = conditions
+        self._mdcs: Dict[int, List[DisqualifyingCondition]] = conditions.mdcs
         self.preprocessing_seconds = time.perf_counter() - started
 
     # ------------------------------------------------------------------
     def query(self, preference: Optional[Preference] = None) -> List[int]:
-        """Skyline ids under ``preference`` (merged over the template)."""
+        """Skyline ids under ``preference`` (merged over the template),
+        in ascending order."""
         pref = preference if preference is not None else Preference.empty()
         merged = pref.merged_over(self.template)
-        merged.validate_against(self.dataset.schema)
-
-        positions = self._chain_positions(merged)
-        rows = self.dataset.canonical_rows
-        out: List[int] = []
-        for point_id in self.skyline_ids:
-            loser = rows[point_id]
-            if any(
-                self._satisfied(cond, positions, loser)
-                for cond in self._mdcs[point_id]
-            ):
-                continue
-            out.append(point_id)
-        return out
-
-    def _chain_positions(
-        self, merged: Preference
-    ) -> Dict[int, Dict[int, int]]:
-        """Per-dimension {value id -> 0-based chain position}."""
-        schema = self.dataset.schema
-        positions: Dict[int, Dict[int, int]] = {}
-        for dim in schema.nominal_indices:
-            spec = schema[dim]
-            chain = merged[spec.name]
-            if chain.is_empty:
-                continue
-            positions[dim] = {
-                spec.domain.index(value): pos  # type: ignore[union-attr]
-                for pos, value in enumerate(chain.choices)
-            }
-        return positions
-
-    @staticmethod
-    def _satisfied(
-        condition: DisqualifyingCondition,
-        positions: Dict[int, Dict[int, int]],
-        loser_values,
-    ) -> bool:
-        """Is every required pair contained in the query's orders?"""
-        for dim, winner in condition.winners.items():
-            chain = positions.get(dim)
-            if chain is None:
-                return False
-            pos_winner = chain.get(winner)
-            if pos_winner is None:
-                return False
-            pos_loser = chain.get(loser_values[dim])
-            if pos_loser is not None and pos_loser <= pos_winner:
-                return False
-        return True
+        return self._conditions.survivors(
+            template_positions(merged, self.dataset.schema)
+        )
 
     # ------------------------------------------------------------------
     def condition_count(self) -> int:

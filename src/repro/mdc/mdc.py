@@ -21,6 +21,18 @@ condition is stored as a compact mapping ``dim_index -> winner_value_id``
 (class :class:`DisqualifyingCondition`).  A condition with two different
 winners on the same dimension can never arise from a single dominator.
 
+The conditions of a whole template skyline are evaluated through one
+:class:`ConditionStore`.  On a vectorized backend it packs the ``C``
+conditions into flat arrays: ``owner`` (member index) and two value-id
+blocks over the ``k`` nominal dimensions - ``winner`` (``-1`` where the
+condition leaves the dimension unconstrained) and ``loser`` (the
+owner's own value) - each stored as ``(k, C)`` indices into a lookup
+table that a query fills with chain positions.  A query preference
+then costs one gather and compare per nominal dimension over all ``C``
+conditions, plus one scatter to the owners.  Without NumPy (or on the
+python backend) the store keeps the per-member lists and loops over
+:meth:`DisqualifyingCondition.satisfied_by`, the reference rule.
+
 Base order
 ----------
 MDCs are computed relative to the *numeric-only* part of the template
@@ -41,6 +53,7 @@ transitivity, some *skyline* point of ``R0 ∪ extra`` does, and
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algorithms.sfs import sfs_skyline
@@ -341,3 +354,149 @@ def template_positions(
             domain.index(value): pos for pos, value in enumerate(chain.choices)
         }
     return positions
+
+
+#: Lookup-table position of a value the preference does not list: later
+#: than every chain position, so an unlisted winner never satisfies its
+#: pair and an unlisted loser always loses to a listed winner.
+_UNLISTED = 1 << 30
+
+
+class ConditionStore:
+    """``MDC(p)`` of every template-skyline member, packed once.
+
+    Built from :func:`compute_mdcs`'s output (``mdcs``, kept as is) for
+    the members ``ids``, in the caller's order.  :meth:`survivors` and
+    :meth:`disqualified` answer, for one preference given as
+    :func:`template_positions`-style ``dim -> {value id -> position}``
+    chains, which members some condition disqualifies.
+
+    With ``vectorized`` the conditions are packed into flat arrays (see
+    the module docstring's "Representation"); the required pair of a
+    dimension holds iff ``lut[winner] < lut[loser]``, where ``lut``
+    maps a listed value to its chain position, an unlisted one to a
+    large sentinel and an unconstrained winner (``-1``) to ``-1`` - the
+    rule of :meth:`DisqualifyingCondition.satisfied_by` in one compare:
+    the winner must be listed, and the loser unlisted or later in the
+    chain.  Otherwise every query loops over ``satisfied_by`` itself,
+    the reference.
+    """
+
+    def __init__(
+        self,
+        mdcs: Mapping[int, List[DisqualifyingCondition]],
+        ids: Sequence[int],
+        rows,
+        schema: Schema,
+        *,
+        vectorized: bool,
+    ) -> None:
+        self.ids: Tuple[int, ...] = tuple(ids)
+        self.mdcs = mdcs
+        self._losers = [rows[point_id] for point_id in self.ids]
+        self._np = None
+        if vectorized:
+            self._pack(schema)
+
+    @classmethod
+    def compute(
+        cls,
+        dataset,
+        ids: Sequence[int],
+        *,
+        candidates: Optional[Sequence[int]] = None,
+        backend=None,
+    ) -> "ConditionStore":
+        """Run :func:`compute_mdcs` for ``ids`` and pack the result.
+
+        The arrays are built when the backend is vectorized - the same
+        test :func:`compute_mdcs` uses for its columnar screen.
+        """
+        from repro.engine import resolve_backend
+
+        engine = resolve_backend(backend)
+        mdcs = compute_mdcs(
+            dataset, ids, candidates=candidates, backend=engine
+        )
+        return cls(
+            mdcs, ids, dataset.canonical_rows, dataset.schema,
+            vectorized=engine.vectorized,
+        )
+
+    def _pack(self, schema: Schema) -> None:
+        from repro.engine.columnar import require_numpy
+
+        np = require_numpy()
+        dims = schema.nominal_indices
+        owner: List[int] = []
+        winner: List[List[int]] = []
+        loser: List[List[int]] = []
+        for index, (point_id, row) in enumerate(zip(self.ids, self._losers)):
+            own = [row[dim] for dim in dims]
+            for condition in self.mdcs[point_id]:
+                owner.append(index)
+                winner.append([condition.winners.get(dim, -1) for dim in dims])
+                loser.append(own)
+        shape = (len(owner), len(dims))
+        winner_ids = np.asarray(winner, dtype=np.intp).reshape(shape).T
+        loser_ids = np.asarray(loser, dtype=np.intp).reshape(shape).T
+        # A query's lookup table is one segment per nominal dimension:
+        # a slot per domain value, then one holding -1, which is where
+        # an unconstrained winner (-1) points.  Both blocks are stored
+        # as (k, C) indices into that table.
+        self._cards = [len(schema[dim].domain) for dim in dims]  # type: ignore[arg-type]
+        cards = np.asarray(self._cards, dtype=np.intp)
+        offsets = np.cumsum(cards + 1) - (cards + 1)
+        unconstrained = (offsets + cards)[:, None]
+        self._winner_at = np.ascontiguousarray(
+            np.where(winner_ids < 0, unconstrained, winner_ids + offsets[:, None])
+        )
+        self._loser_at = np.ascontiguousarray(loser_ids + offsets[:, None])
+        self._owner = np.asarray(owner, dtype=np.intp)
+        self._dims = dims
+        self._np = np
+
+    def _hits(self, positions: Mapping[int, Mapping[int, int]]):
+        """Per member (in ``ids`` order): does some condition hold?"""
+        np = self._np
+        if np is None:
+            return [
+                any(
+                    condition.satisfied_by({}, positions, row)
+                    for condition in self.mdcs[point_id]
+                )
+                for point_id, row in zip(self.ids, self._losers)
+            ]
+        lut: List[int] = []
+        for dim, card in zip(self._dims, self._cards):
+            segment = [_UNLISTED] * card + [-1]
+            for value, position in positions.get(dim, {}).items():
+                segment[value] = position
+            lut += segment
+        table = np.asarray(lut, dtype=np.int32)
+        holds = (table[self._winner_at] < table[self._loser_at]).all(axis=0)
+        hits = np.zeros(len(self.ids), dtype=bool)
+        hits[self._owner[holds]] = True
+        return hits
+
+    def _select(self, positions, disqualified: bool) -> List[int]:
+        hits = self._hits(positions)
+        if self._np is None:
+            keep = [hit == disqualified for hit in hits]
+        else:
+            keep = (hits if disqualified else ~hits).tolist()
+        # The members' own id objects, not new ints per answer: callers
+        # retain answers (the result cache, tree nodes).
+        return list(compress(self.ids, keep))
+
+    def disqualified(
+        self, positions: Mapping[int, Mapping[int, int]]
+    ) -> List[int]:
+        """Ids of the members some condition disqualifies, in ``ids`` order."""
+        return self._select(positions, True)
+
+    def survivors(
+        self, positions: Mapping[int, Mapping[int, int]]
+    ) -> List[int]:
+        """Ids of the members no condition disqualifies, in ``ids`` order."""
+        return self._select(positions, False)

@@ -13,8 +13,11 @@ implicit-preference skyline query, each with a different cost shape:
   under heavy churn, when the materialised indexes go stale faster
   than their refreshes amortise.
 * **MDC filter** (``"mdc"``) - containment tests over every
-  template-skyline member's minimal disqualifying conditions; flat
-  cost, supports any value, no per-combination materialisation.
+  template-skyline member's minimal disqualifying conditions, packed
+  into arrays (:class:`~repro.mdc.mdc.ConditionStore`): one gather and
+  compare per nominal dimension over all conditions, then one scatter
+  to the members; flat cost, supports any value, no per-combination
+  materialisation.
 * **direct kernel** (``"kernel"``) - a full backend skyline run over
   the base data; competitive when the dataset is small or the
   vectorized engine is available, and the only route that needs no

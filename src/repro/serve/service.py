@@ -368,9 +368,7 @@ class SkylineService:
                 else None
             )
             self.mdc: Optional[MDCFilter] = (
-                MDCFilter(dataset, self.template, backend=self.backend)
-                if with_mdc
-                else None
+                self._new_filter(dataset) if with_mdc else None
             )
             for structure in (self.adaptive, self.tree, self.mdc):
                 if structure is not None:
@@ -798,7 +796,7 @@ class SkylineService:
                 )
                 self._tree_stale = False
             if self.mdc is not None:
-                self.mdc = MDCFilter(snapshot, self.template, backend=backend)
+                self.mdc = self._new_filter(snapshot)
                 self._mdc_stale = False
             self._template_skyline_size = len(self._maintainer)
             self.cache.revise(lambda key, ids: None)  # ids were remapped
@@ -1125,6 +1123,20 @@ class SkylineService:
             "with_adaptive": self.adaptive is not None,
             "with_mdc": self.mdc is not None,
         }
+
+    def _new_filter(self, data) -> MDCFilter:
+        """An MDC filter over ``data``; it reuses the conditions of a tree
+        just built over the same data instead of computing them again."""
+        tree = self.tree
+        if tree is not None and tree.conditions is not None:
+            return MDCFilter(
+                data,
+                self.template,
+                backend=self.backend,
+                skyline_ids=tree.skyline_ids,
+                conditions=tree.conditions,
+            )
+        return MDCFilter(data, self.template, backend=self.backend)
 
     def _install_recovered(
         self, restore: _RestoreState, *, with_mdc: bool, with_adaptive: bool
@@ -1639,7 +1651,7 @@ class SkylineService:
                 raise ReproError(
                     "route 'mdc' requested but the MDC filter is disabled"
                 )
-            return tuple(sorted(self.mdc.query(preference)))
+            return tuple(self.mdc.query(preference))
         if route == "bitset":
             if self.bitset is None:
                 raise ReproError(

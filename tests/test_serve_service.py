@@ -89,6 +89,45 @@ class TestRouteEquivalence:
         assert list(result.ids) == sorted(result.ids)
 
 
+class TestSharedConditions:
+    """The tree and the MDC filter share one condition computation."""
+
+    def test_one_mdc_computation_per_construction(
+        self, dataset, template, monkeypatch
+    ):
+        import repro.ipo.tree as tree_module
+        import repro.mdc.filter as filter_module
+        import repro.mdc.mdc as mdc_module
+
+        calls = []
+        real = mdc_module.compute_mdcs
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        # Every module binding, whether or not a module imports it today.
+        for module in (mdc_module, tree_module, filter_module):
+            monkeypatch.setattr(module, "compute_mdcs", spy, raising=False)
+        service = SkylineService(dataset, template, cache_capacity=0)
+        assert service.tree is not None and service.mdc is not None
+        assert len(calls) == 1
+        assert service.mdc.skyline_ids == service.tree.skyline_ids
+        for pref in generate_preferences(
+            dataset, 2, 6, template=template, seed=5
+        ):
+            assert service.mdc.query(pref) == service.tree.query(pref)
+
+        # Compaction rebuilds both structures over the compacted data,
+        # again from one computation.
+        service.delete_rows([service.tree.skyline_ids[0]])
+        calls.clear()
+        service.compact()
+        assert len(calls) == 1
+        assert service.mdc.skyline_ids == service.tree.skyline_ids
+        service.close()
+
+
 class TestServiceCaching:
     def test_second_identical_query_hits(self, dataset, template):
         service = SkylineService(dataset, template, cache_capacity=8)
