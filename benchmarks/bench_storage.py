@@ -6,8 +6,8 @@ the exact pre-crash data version.  Two ways exist to get there:
 
 * **recover** - :meth:`repro.serve.SkylineService.recover`: load the
   latest snapshot (encoded rows read back verbatim, maintained skyline
-  ids and the serialized IPO-tree restored) and replay the committed
-  WAL tail through the incremental mutation path;
+  ids restored, the IPO-tree and MDC filter regrown from them) and
+  replay the committed WAL tail through the incremental mutation path;
 * **re-ingest** - what a deployment without ``repro.storage`` pays:
   re-validate and re-encode every base row, rebuild every index from
   scratch, then replay the *entire* mutation history through the

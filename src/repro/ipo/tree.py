@@ -34,8 +34,9 @@ suffice - see DESIGN.md for the full argument.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.algorithms.sfs import sfs_skyline
 from repro.core.dataset import Dataset
@@ -45,12 +46,7 @@ from repro.engine import resolve_backend
 from repro.exceptions import PreferenceError, UnsupportedQueryError
 from repro.ipo.node import IPONode
 from repro.ipo.query import evaluate_bitmap, evaluate_sets, evaluate_survivors
-from repro.mdc.mdc import (
-    ConditionStore,
-    DisqualifyingCondition,
-    compute_mdcs,
-    template_positions,
-)
+from repro.mdc.mdc import ConditionStore, template_positions
 
 #: Analytic storage model: bytes per stored point id (paper counts 4-byte
 #: ids) and fixed per-node overhead (label + two pointers' worth).
@@ -60,7 +56,7 @@ _BYTES_PER_NODE = 16
 
 @dataclass(frozen=True)
 class TreeStats:
-    """Construction statistics reported by :meth:`IPOTree.build`."""
+    """Statistics of the last :meth:`IPOTree.build` or :meth:`IPOTree.refresh`."""
 
     engine: str
     payload: str
@@ -68,24 +64,6 @@ class TreeStats:
     skyline_size: int
     build_seconds: float
     storage_bytes: int
-
-
-@dataclass(frozen=True)
-class RefreshStats:
-    """What one :meth:`IPOTree.refresh` call changed and what it cost.
-
-    ``entries_updated`` counts per-node membership flips - the work a
-    full rebuild would redo for *every* (node, member) pair; the ratio
-    against ``node_count * skyline_size`` is the refresh's saving.
-    """
-
-    skyline_size: int
-    added: int
-    removed: int
-    dirty: int
-    nodes_visited: int
-    entries_updated: int
-    seconds: float
 
 
 class IPOTree:
@@ -117,38 +95,18 @@ class IPOTree:
         self,
         dataset: Dataset,
         template: Preference,
-        nominal_dims: Tuple[int, ...],
         candidates: Tuple[Tuple[int, ...], ...],
-        skyline_ids: Tuple[int, ...],
-        root: IPONode,
         payload: str,
-        stats: TreeStats,
+        builder,
+        engine: str,
+        started: float,
     ) -> None:
         self.dataset = dataset
         self.template = template
-        self.nominal_dims = nominal_dims
+        self.nominal_dims = dataset.schema.nominal_indices
         self.candidates = candidates
-        self.skyline_ids = skyline_ids
-        self.root = root
         self.payload = payload
-        self.stats = stats
-        # Bitmap support structures (filled lazily for the set payload).
-        self._positions: Dict[int, int] = {
-            point_id: pos for pos, point_id in enumerate(skyline_ids)
-        }
-        self._value_masks: Optional[List[Dict[int, int]]] = None
-        if payload == "bitmap":
-            self._attach_masks()
-        #: The condition store an ``"mdc"``-engine build evaluated its
-        #: nodes with; ``None`` for other trees and after a
-        #: :meth:`refresh`, which does not maintain it.
-        self.conditions: Optional[ConditionStore] = None
-        # Per-member MDCs retained for refresh(); filled by the "mdc"
-        # construction engine, recomputed lazily on the first refresh of
-        # a "direct"-built tree.
-        self._refresh_mdcs: Optional[
-            Dict[int, List[DisqualifyingCondition]]
-        ] = None
+        self._grow_from(builder, engine, started)
 
     # ------------------------------------------------------------------
     # construction
@@ -163,8 +121,14 @@ class IPOTree:
         payload: str = "set",
         values_per_attribute: Union[None, int, Mapping[str, int]] = None,
         backend=None,
+        conditions: Optional[ConditionStore] = None,
     ) -> "IPOTree":
         """Construct the IPO-tree for ``dataset`` under ``template``.
+
+        ``dataset`` may be a :class:`Dataset` or anything exposing
+        ``schema`` / ``canonical_rows`` / ``ids`` / ``columns`` (e.g. a
+        :class:`~repro.updates.dataset.DynamicDataset`, whose dead slots
+        are never read).
 
         Parameters
         ----------
@@ -187,290 +151,93 @@ class IPOTree:
             from :func:`repro.datagen.queries.popular_values_from_history`).
             Template values are always kept so template refinements
             stay answerable.
+        conditions:
+            A :class:`~repro.mdc.mdc.ConditionStore` already computed
+            over ``dataset`` for the template skyline (its ``ids``),
+            e.g. from a caller's maintained skylines; it skips the
+            skyline scan and the MDC computation.  Trusted as-is, and
+            only with the ``"mdc"`` engine.
         """
         if engine not in ("mdc", "direct"):
             raise PreferenceError(f"unknown construction engine {engine!r}")
         if payload not in ("set", "bitmap"):
             raise PreferenceError(f"unknown payload {payload!r}")
+        if conditions is not None and engine != "mdc":
+            raise PreferenceError("conditions= needs the 'mdc' engine")
         template = template if template is not None else Preference.empty()
         template.validate_against(dataset.schema)
 
         started = time.perf_counter()
-        schema = dataset.schema
-        nominal_dims = schema.nominal_indices
         engine_backend = resolve_backend(backend)
-        store = dataset.columns if engine_backend.vectorized else None
-
-        template_table = RankTable.compile(schema, None, template)
-        skyline_ids = tuple(
-            sorted(
-                sfs_skyline(
-                    dataset.canonical_rows,
-                    dataset.ids,
-                    template_table,
-                    backend=engine_backend,
-                    store=store,
-                )
-            )
-        )
-
-        candidates = _candidate_values(dataset, template, values_per_attribute)
-
-        if engine == "mdc":
-            builder = _MDCBuilder(
-                dataset, template, nominal_dims, skyline_ids,
+        if engine == "direct":
+            builder = _DirectBuilder(
+                dataset,
+                template,
+                _template_skyline(dataset, template, engine_backend),
                 backend=engine_backend,
             )
         else:
-            builder = _DirectBuilder(
-                dataset, template, nominal_dims, skyline_ids,
-                backend=engine_backend,
-            )
-        root = IPONode(None, frozenset())
-        _grow(root, 0, {}, nominal_dims, candidates, builder)
-
-        node_count = root.subtree_size()
-        elapsed = time.perf_counter() - started
-        storage = _storage_bytes(root, payload, len(skyline_ids))
-        stats = TreeStats(
-            engine=engine,
-            payload=payload,
-            node_count=node_count,
-            skyline_size=len(skyline_ids),
-            build_seconds=elapsed,
-            storage_bytes=storage,
-        )
-        tree = cls(
+            if conditions is None:
+                conditions = ConditionStore.compute(
+                    dataset,
+                    _template_skyline(dataset, template, engine_backend),
+                    backend=engine_backend,
+                )
+            builder = _MDCBuilder(conditions, template, dataset.schema)
+        return cls(
             dataset,
             template,
-            nominal_dims,
-            candidates,
-            skyline_ids,
-            root,
+            _candidate_values(dataset, template, values_per_attribute),
             payload,
-            stats,
-        )
-        if engine == "mdc":
-            tree.conditions = builder.conditions
-            tree._refresh_mdcs = builder.conditions.mdcs
-        return tree
-
-    # ------------------------------------------------------------------
-    # incremental refresh
-    # ------------------------------------------------------------------
-    def prime_refresh_baseline(
-        self,
-        data=None,
-        *,
-        base_skyline_ids: Optional[Iterable[int]] = None,
-        backend=None,
-    ) -> None:
-        """Precompute the refresh diff baseline for a tree known in sync.
-
-        :meth:`refresh` diffs each member's minimal disqualifying
-        conditions against the baseline retained from the previous
-        refresh (or from an MDC-engine build).  A *deserialized* tree
-        (:func:`repro.ipo.serialize.tree_from_dict`) has no baseline,
-        so its first refresh reconstructs one with a full
-        base-skyline scan over ``self.dataset``.  A caller that knows
-        the tree is currently **in sync** with ``data`` - the recovery
-        path restoring a non-stale checkpoint - can prime the baseline
-        here instead, passing the maintained base skyline as
-        ``base_skyline_ids`` so the computation never scans the base
-        data.  Priming a tree that is *not* in sync with ``data`` would
-        make later refreshes miss flips - only do that when the very
-        next refresh marks every old and new member dirty (which
-        rewrites all entries from the new conditions, making the
-        baseline's diff irrelevant; the recovery path restoring a
-        stale checkpoint does exactly this).
-        """
-        engine = resolve_backend(backend)
-        source = data if data is not None else self.dataset
-        self._refresh_mdcs = compute_mdcs(
-            source,
-            self.skyline_ids,
-            candidates=(
-                list(base_skyline_ids)
-                if base_skyline_ids is not None
-                else None
-            ),
-            backend=engine,
+            builder,
+            engine,
+            started,
         )
 
-    def refresh(
-        self,
-        dirty_ids: Iterable[int] = (),
-        *,
-        data=None,
-        skyline_ids: Optional[Iterable[int]] = None,
-        base_skyline_ids: Optional[Iterable[int]] = None,
-        backend=None,
-    ) -> RefreshStats:
-        """Re-align the tree with mutated data, reworking only dirty members.
+    def refresh(self, data, conditions: ConditionStore) -> None:
+        """Regrow every node in place over mutated ``data``.
 
-        After rows were inserted into / deleted from the underlying
-        data, the tree's root skyline ``S`` and the per-node
-        disqualified sets may be stale.  A full rebuild re-enumerates
-        every (node, member) pair - ``O(node_count * |S|)`` condition
-        tests, the dominant cost of construction.  Refresh instead:
-
-        1. recomputes ``S`` (or takes it from ``skyline_ids`` when an
-           :class:`~repro.updates.incremental.IncrementalSkyline`
-           maintainer already has it),
-        2. recomputes the minimal disqualifying conditions in one
-           vectorized pass and diffs them against the retained set -
-           members whose conditions changed (a new base-skyline
-           dominator appeared, or one vanished) join the **dirty set**
-           alongside ``dirty_ids``, the members that entered and the
-           members that left,
-        3. walks the tree rewriting per-node membership **only for
-           dirty members**; subtrees see no work at all for the
-           (typically vast) clean majority, and a refresh with an empty
-           dirty set skips the walk entirely.
-
-        Parameters
-        ----------
-        dirty_ids:
-            Member ids the caller already knows flipped (e.g. an
-            update's :attr:`~repro.updates.incremental.UpdateEffect.dirty`
-            set); ids outside the old and new skylines are ignored.
-        data:
-            The mutated data (anything exposing ``schema`` /
-            ``canonical_rows`` / ``ids`` / ``columns``, e.g. a
-            :class:`~repro.updates.dataset.DynamicDataset`).  Defaults
-            to the tree's current dataset; the tree adopts it.
-        skyline_ids:
-            The already-maintained new template skyline; recomputed via
-            the backend kernel when omitted.
-        base_skyline_ids:
-            The already-maintained base skyline ``SKY(R0)`` (candidate
-            dominators for the MDC recompute).  When omitted,
-            :func:`compute_mdcs` recomputes it with a full O(n) kernel
-            scan - callers maintaining it incrementally (the serving
-            layer's base maintainer) should pass it so a refresh costs
-            O(|S| x |base|) condition work, never a base-data scan.
-        backend:
-            Execution backend for the recomputations (name, instance or
-            ``None`` for the process default).
+        ``conditions`` is a :class:`~repro.mdc.mdc.ConditionStore`
+        computed over ``data`` for its current template skyline (the
+        store's ``ids``, which become the new root skyline ``S``).  The
+        nodes are regrown with the ``"mdc"`` engine over the tree's
+        existing ``candidates`` - an IPO Tree-k keeps the values it
+        materialised - so every node holds the set a fresh :meth:`build`
+        over ``data`` with those values would give.  The serving layer
+        computes the store once from its maintained skylines and shares
+        it with the MDC filter, so a regrow never scans the base data.
         """
         started = time.perf_counter()
-        engine = resolve_backend(backend)
-        source = data if data is not None else self.dataset
-        rows = source.canonical_rows
-        if skyline_ids is None:
-            table = RankTable.compile(source.schema, None, self.template)
-            store = source.columns if engine.vectorized else None
-            new_s = tuple(
-                sorted(
-                    sfs_skyline(
-                        rows, source.ids, table,
-                        backend=engine, store=store,
-                    )
-                )
-            )
-        else:
-            new_s = tuple(sorted(skyline_ids))
-        old_set = frozenset(self.skyline_ids)
-        new_set = frozenset(new_s)
-        removed = old_set - new_set
-        added = new_set - old_set
-
-        old_mdcs = self._refresh_mdcs
-        if old_mdcs is None:
-            # "direct"-built tree: self.dataset is still the pre-mutation
-            # data on the first refresh, so the retained baseline can be
-            # reconstructed once here.
-            old_mdcs = compute_mdcs(
-                self.dataset, self.skyline_ids, backend=engine
-            )
-        new_mdcs = compute_mdcs(
-            source,
-            new_s,
-            candidates=(
-                list(base_skyline_ids)
-                if base_skyline_ids is not None
-                else None
-            ),
-            backend=engine,
+        self.dataset = data
+        self._grow_from(
+            _MDCBuilder(conditions, self.template, data.schema), "mdc", started
         )
 
-        dirty = (set(dirty_ids) | removed | added) & (old_set | new_set)
-        for point_id in new_set & old_set:
-            if set(new_mdcs[point_id]) != set(old_mdcs.get(point_id, ())):
-                dirty.add(point_id)
-
-        self.dataset = source
-        self._refresh_mdcs = new_mdcs
-        self.conditions = None
-        nodes_visited = entries_updated = 0
-        if dirty:
-            positions = template_positions(self.template, source.schema)
-            addable = frozenset(dirty & new_set)
-            nodes_visited, entries_updated = self._refresh_node(
-                self.root, 0, {}, frozenset(dirty), addable,
-                new_mdcs, positions, rows,
-            )
-        self.skyline_ids = new_s
-        self._positions = {
-            point_id: pos for pos, point_id in enumerate(new_s)
+    def _grow_from(self, builder, engine: str, started: float) -> None:
+        """Grow every node from ``builder``; reset ``S`` and the stats."""
+        root = IPONode(None, frozenset())
+        _grow(root, 0, {}, self.nominal_dims, self.candidates, builder)
+        skyline_ids = builder.skyline_ids
+        self.root = root
+        self.skyline_ids: Tuple[int, ...] = skyline_ids
+        #: The condition store the nodes were grown from; ``None`` for
+        #: a ``"direct"``-engine build.
+        self.conditions: Optional[ConditionStore] = builder.conditions
+        self._positions: Dict[int, int] = {
+            point_id: pos for pos, point_id in enumerate(skyline_ids)
         }
-        self._value_masks = None
+        # Bitmap support structures (filled lazily for the set payload).
+        self._value_masks: Optional[List[Dict[int, int]]] = None
+        self.stats = TreeStats(
+            engine=engine,
+            payload=self.payload,
+            node_count=root.subtree_size(),
+            skyline_size=len(skyline_ids),
+            build_seconds=time.perf_counter() - started,
+            storage_bytes=_storage_bytes(root, self.payload, len(skyline_ids)),
+        )
         if self.payload == "bitmap":
             self._attach_masks()
-        return RefreshStats(
-            skyline_size=len(new_s),
-            added=len(added),
-            removed=len(removed),
-            dirty=len(dirty),
-            nodes_visited=nodes_visited,
-            entries_updated=entries_updated,
-            seconds=time.perf_counter() - started,
-        )
-
-    def _refresh_node(
-        self,
-        node: IPONode,
-        depth: int,
-        labels: Dict[int, int],
-        dirty: frozenset,
-        addable: frozenset,
-        mdcs: Dict[int, List[DisqualifyingCondition]],
-        positions: Dict[int, Dict[int, int]],
-        rows,
-    ) -> Tuple[int, int]:
-        """Rewrite dirty members' membership in this subtree's ``A`` sets."""
-        re_add = set()
-        for point_id in addable:
-            loser = rows[point_id]
-            if any(
-                cond.satisfied_by(labels, positions, loser)
-                for cond in mdcs[point_id]
-            ):
-                re_add.add(point_id)
-        updated = frozenset((node.disqualified - dirty) | re_add)
-        entries = len(node.disqualified ^ updated)
-        if entries:
-            node.disqualified = updated
-        visited = 1
-        if depth < len(self.nominal_dims):
-            dim = self.nominal_dims[depth]
-            for vid, child in node.children.items():
-                labels[dim] = vid
-                child_stats = self._refresh_node(
-                    child, depth + 1, labels, dirty, addable,
-                    mdcs, positions, rows,
-                )
-                del labels[dim]
-                visited += child_stats[0]
-                entries += child_stats[1]
-            if node.phi_child is not None:
-                child_stats = self._refresh_node(
-                    node.phi_child, depth + 1, labels, dirty, addable,
-                    mdcs, positions, rows,
-                )
-                visited += child_stats[0]
-                entries += child_stats[1]
-        return visited, entries
 
     # ------------------------------------------------------------------
     # querying
@@ -578,20 +345,35 @@ class IPOTree:
 # ----------------------------------------------------------------------
 # construction helpers
 # ----------------------------------------------------------------------
+def _template_skyline(dataset, template: Preference, backend) -> Tuple[int, ...]:
+    """The root skyline ``S = SKY(R~)``, ascending."""
+    table = RankTable.compile(dataset.schema, None, template)
+    store = dataset.columns if backend.vectorized else None
+    return tuple(
+        sorted(
+            sfs_skyline(
+                dataset.canonical_rows, dataset.ids, table,
+                backend=backend, store=store,
+            )
+        )
+    )
+
+
 class _DirectBuilder:
     """Disqualified sets via a skyline run over ``S`` per node."""
+
+    conditions = None
 
     def __init__(
         self,
         dataset: Dataset,
         template: Preference,
-        nominal_dims: Tuple[int, ...],
         skyline_ids: Tuple[int, ...],
         backend=None,
     ) -> None:
         self._dataset = dataset
         self._template = template
-        self._skyline_ids = skyline_ids
+        self.skyline_ids = skyline_ids
         self._skyline_set = frozenset(skyline_ids)
         self._backend = resolve_backend(backend)
         self._store = (
@@ -609,7 +391,7 @@ class _DirectBuilder:
         table = RankTable.compile(schema, pref)
         surviving = sfs_skyline(
             self._dataset.canonical_rows,
-            self._skyline_ids,
+            self.skyline_ids,
             table,
             backend=self._backend,
             store=self._store,
@@ -620,24 +402,19 @@ class _DirectBuilder:
 class _MDCBuilder:
     """Disqualified sets via minimal disqualifying conditions (paper).
 
-    A node's labels fold into the template positions as one-value
-    chains ``{label: 0}``, which :meth:`DisqualifyingCondition.satisfied_by`
+    The root skyline is the store's members, ascending.  A node's
+    labels fold into the template positions as one-value chains
+    ``{label: 0}``, which :meth:`DisqualifyingCondition.satisfied_by`
     treats exactly like its ``labels`` argument: the winner must be the
     label, and any other loser is unlisted.
     """
 
     def __init__(
-        self,
-        dataset: Dataset,
-        template: Preference,
-        nominal_dims: Tuple[int, ...],
-        skyline_ids: Tuple[int, ...],
-        backend=None,
+        self, conditions: ConditionStore, template: Preference, schema
     ) -> None:
-        self.conditions = ConditionStore.compute(
-            dataset, skyline_ids, backend=backend
-        )
-        self._template_positions = template_positions(template, dataset.schema)
+        self.conditions = conditions
+        self.skyline_ids = tuple(sorted(conditions.ids))
+        self._template_positions = template_positions(template, schema)
 
     def disqualified(self, labels: Mapping[int, int]) -> frozenset:
         positions = dict(self._template_positions)
@@ -670,12 +447,13 @@ def _grow(
 
 
 def _candidate_values(
-    dataset: Dataset,
+    dataset,
     template: Preference,
     values_per_attribute: Union[None, int, Mapping[str, int]],
 ) -> Tuple[Tuple[int, ...], ...]:
     """Value ids materialised per nominal dimension (IPO Tree-k support)."""
     schema = dataset.schema
+    rows = dataset.canonical_rows
     out: List[Tuple[int, ...]] = []
     for dim in schema.nominal_indices:
         spec = schema[dim]
@@ -692,7 +470,13 @@ def _candidate_values(
                     raise PreferenceError(
                         f"values_per_attribute must be positive, got {wanted}"
                     )
-                keep = dataset.most_frequent(spec.name, wanted)
+                # Ties broken by domain order, as Dataset.most_frequent;
+                # counted over the live ids of a dynamic dataset.
+                counts = Counter(rows[i][dim] for i in dataset.ids)
+                ranked = sorted(
+                    range(len(domain)), key=lambda v: (-counts[v], v)  # type: ignore[arg-type]
+                )
+                keep = [domain[v] for v in ranked[:wanted]]  # type: ignore[index]
             else:
                 # Explicit value list (e.g. mined from a query history).
                 keep = list(wanted)

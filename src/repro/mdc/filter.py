@@ -67,13 +67,12 @@ class MDCFilter:
         ``skyline_ids`` (the template skyline) and ``base_skyline_ids``
         (the base skyline, the candidate dominators of the MDC
         computation) skip the two O(n) kernel scans when a caller
-        already maintains them - the serving layer's incremental
-        maintainers and the recovery path both do.  ``conditions``
-        skips the MDC computation itself: a store computed for
-        ``skyline_ids`` over the same data, such as an MDC-built
-        IPO-tree's :attr:`~repro.ipo.tree.IPOTree.conditions`.  All
-        three are trusted as-is; passing stale ones yields a stale
-        filter.
+        already maintains them.  ``conditions`` skips the MDC
+        computation and both scans: a store computed over the same
+        data for the template skyline (its ``ids``), such as an
+        MDC-built IPO-tree's :attr:`~repro.ipo.tree.IPOTree.conditions`
+        or the serving layer's shared store.  All three are trusted
+        as-is; passing stale ones yields a stale filter.
         """
         started = time.perf_counter()
         self.dataset = dataset
@@ -81,6 +80,8 @@ class MDCFilter:
         self.template.validate_against(dataset.schema)
         self.backend = resolve_backend(backend)
 
+        if conditions is not None:
+            skyline_ids = conditions.ids
         if skyline_ids is not None:
             self.skyline_ids: Tuple[int, ...] = tuple(sorted(skyline_ids))
         else:

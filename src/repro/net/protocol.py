@@ -7,8 +7,8 @@ objects (:class:`~repro.core.preferences.Preference`,
 :class:`~repro.serve.service.ServeResult`, ...) convert into each
 other, so the server and every client/test share a single vocabulary.
 
-Preferences travel in the same attribute->chain dict form the IPO-tree
-serializer uses (:func:`repro.ipo.serialize.preference_to_dict`), with
+Preferences travel in the same attribute->chain dict form snapshots
+use (:func:`repro.storage.snapshot.preference_to_dict`), with
 one convenience: a chain may also be spelled as the DNF-ish string form
 ``"H < T < *"`` that :meth:`ImplicitPreference.parse` accepts.  The
 partial-order semantics are unchanged on the wire: values a chain does
@@ -247,7 +247,6 @@ def encode_update_report(report: UpdateReport) -> dict:
         "cache_retained": report.cache_retained,
         "cache_patched": report.cache_patched,
         "cache_invalidated": report.cache_invalidated,
-        "tree_refreshed": report.tree_refreshed,
         "seconds": report.seconds,
     }
 

@@ -11,7 +11,7 @@ implicit-preference skyline query, each with a different cost shape:
   over the incrementally maintained template skyline
   (:mod:`repro.updates`), so it also stays exact at O(update) cost
   under heavy churn, when the materialised indexes go stale faster
-  than their refreshes amortise.
+  than their rebuilds amortise.
 * **MDC filter** (``"mdc"``) - containment tests over every
   template-skyline member's minimal disqualifying conditions, packed
   into arrays (:class:`~repro.mdc.mdc.ConditionStore`): one gather and
@@ -85,10 +85,11 @@ class PlannerConfig:
     #: Once the service has seen at least this many row updates per
     #: served query, it is churn-heavy: queries route to Adaptive SFS,
     #: the view over the incrementally maintained template skyline
-    #: (always exact, cheap to keep fresh per update), and the service
-    #: stops refreshing the IPO-tree eagerly (its refresh would run once per update batch
-    #: and never amortise).  Below the ratio, updates are rare enough
-    #: that eager index refreshes pay for themselves.
+    #: (always exact, cheap to keep fresh per update), and a
+    #: skyline-changing batch leaves the IPO-tree and the MDC filter
+    #: stale instead of rebuilding them (a rebuild per update batch
+    #: would never amortise).  Below the ratio, updates are rare
+    #: enough that eager index rebuilds pay for themselves.
     incremental_update_ratio: float = 0.25
 
     def __post_init__(self) -> None:
@@ -166,7 +167,7 @@ class Planner:
        ratio is at least ``incremental_update_ratio``) -> ``adaptive``:
        its view of the maintained template skyline is exact after
        every update; the other indexes are stale or paying
-       non-amortising refreshes in this regime.
+       non-amortising rebuilds in this regime.
     4. Tree available and every chain value materialised -> ``ipo``.
     5. Adaptive SFS available and the affected fraction is at most
        ``max_affected_fraction`` -> ``adaptive``.

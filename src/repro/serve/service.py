@@ -60,16 +60,16 @@ from repro.exceptions import (
     StorageError,
     StorageUnavailable,
 )
-from repro.ipo.serialize import (
-    preference_from_dict,
-    preference_to_dict,
-    tree_from_dict,
-    tree_to_dict,
-)
 from repro.ipo.tree import IPOTree
 from repro.mdc.filter import MDCFilter
+from repro.mdc.mdc import ConditionStore
 from repro.serve.cache import CacheStats, SemanticCache
-from repro.storage.snapshot import dataset_state, restore_dataset
+from repro.storage.snapshot import (
+    dataset_state,
+    preference_from_dict,
+    preference_to_dict,
+    restore_dataset,
+)
 from repro.storage.store import CheckpointPolicy, DurableStore
 from repro.updates.dataset import DynamicDataset
 from repro.updates.incremental import IncrementalSkyline, UpdateEffect, admit
@@ -91,10 +91,10 @@ class _RestoreState:
 
     ``dynamic`` is the dataset at the *snapshot* version; ``tail`` the
     committed WAL records to replay on top of it (in order).  The
-    maintained skyline id lists and the serialized tree let the
-    restore path skip the expensive from-scratch computations; ``None``
-    for any of them means "recompute" (e.g. a snapshot taken before the
-    service ever mutated has no maintainers yet).  ``store`` is
+    maintained skyline id lists let the restore path skip the
+    expensive from-scratch computations; ``None`` for either means
+    "recompute" (e.g. a snapshot taken before the service ever mutated
+    has no maintainers yet).  ``store`` is
     ``None`` for a storage-less restore (a replication follower
     rebuilding from a shipped snapshot document): the service then
     applies mutations without logging them.
@@ -104,8 +104,6 @@ class _RestoreState:
     dynamic: DynamicDataset
     template_skyline: Optional[Tuple[int, ...]]
     base_skyline: Optional[Tuple[int, ...]]
-    tree: Optional[dict]
-    tree_stale: bool
     tail: Tuple[dict, ...]
     snapshot_version: int
     gate_updates: int
@@ -152,9 +150,6 @@ class UpdateReport:
     cache_retained: int
     cache_patched: int
     cache_invalidated: int
-    #: Whether the IPO-tree was refreshed eagerly (False = left stale
-    #: because the workload is churn-heavy, or no tree was built).
-    tree_refreshed: bool
     seconds: float
 
     def __len__(self) -> int:
@@ -335,8 +330,10 @@ class SkylineService:
         # of being damped by the whole service history.
         self._gate_updates = 0
         self._gate_queries = 0
-        self._tree_stale = False
-        self._mdc_stale = False
+        # The IPO-tree and the MDC filter lag the data: set by a
+        # skyline-changing batch above the churn gate, cleared by
+        # _rebuild_indexes_locked.
+        self._indexes_stale = False
         # Per-cached-key rank tables for the insert patcher, memoised
         # for the service lifetime: a table depends only on the
         # immutable (key, schema) pair, so recompiling per batch would
@@ -351,7 +348,10 @@ class SkylineService:
 
         if _restore is not None:
             self._install_recovered(
-                _restore, with_mdc=with_mdc, with_adaptive=with_adaptive
+                _restore,
+                with_tree=bool(with_tree),
+                with_mdc=with_mdc,
+                with_adaptive=with_adaptive,
             )
         else:
             self.tree: Optional[IPOTree] = None
@@ -367,8 +367,18 @@ class SkylineService:
                 if with_adaptive
                 else None
             )
+            # The filter shares the conditions the tree was built with.
             self.mdc: Optional[MDCFilter] = (
-                self._new_filter(dataset) if with_mdc else None
+                MDCFilter(
+                    dataset,
+                    self.template,
+                    backend=self.backend,
+                    conditions=(
+                        self.tree.conditions if self.tree is not None else None
+                    ),
+                )
+                if with_mdc
+                else None
             )
             for structure in (self.adaptive, self.tree, self.mdc):
                 if structure is not None:
@@ -661,12 +671,12 @@ class SkylineService:
         semantic-cache entry is *patched in place* - an
         insert's effect on any cached skyline is exact and local (the
         new point joins unless dominated and evicts exactly what it
-        dominates), so no entry is dropped.  The IPO-tree is refreshed
-        eagerly while the workload stays below the churn gate
+        dominates), so no entry is dropped.  When the batch changed the
+        base or template skyline, the IPO-tree and the MDC filter are
+        rebuilt while the workload stays below the churn gate
         (``PlannerConfig.incremental_update_ratio``) and left stale
-        above it; the MDC filter goes stale whenever the base or
-        template skyline changed (rebuild via :meth:`refresh_structures`
-        or :meth:`compact`).
+        above it (rebuilt by :meth:`refresh_structures` or
+        :meth:`compact`).
 
         Durability ordering is write-ahead: the batch is validated
         (all-or-nothing, no state touched), *logged*, then applied - so
@@ -741,10 +751,10 @@ class SkylineService:
     def refresh_structures(self) -> None:
         """Bring any stale index structure back in sync (exclusive).
 
-        The churn gate leaves the IPO-tree stale and any
-        skyline-affecting mutation leaves the MDC filter stale; this
-        re-aligns both so the planner may route to them again.  Called
-        by operators at churn lulls and by :meth:`compact`.
+        Above the churn gate a skyline-changing batch leaves the
+        IPO-tree and the MDC filter stale; this rebuilds both so the
+        planner may route to them again.  Called by operators at churn
+        lulls and by :meth:`compact`.
         """
         with self._rw.write():
             self._refresh_structures_locked()
@@ -775,29 +785,17 @@ class SkylineService:
                 "version": dyn.version + 1,
             })
             remap = dyn.compact()
-            backend = self.backend
             self._maintainer = IncrementalSkyline(
-                dyn, None, template=self.template, backend=backend
+                dyn, None, template=self.template, backend=self.backend
             )
             self._base_maintainer = IncrementalSkyline(
-                dyn, None, backend=backend
+                dyn, None, backend=self.backend
             )
-            snapshot = dyn.snapshot()
             if self.adaptive is not None:
                 self.adaptive = AdaptiveSFS.over(
                     self._maintainer, self.template
                 )
-            if self.tree is not None:
-                self.tree = IPOTree.build(
-                    snapshot,
-                    self.template,
-                    values_per_attribute=self._ipo_k,
-                    backend=backend,
-                )
-                self._tree_stale = False
-            if self.mdc is not None:
-                self.mdc = self._new_filter(snapshot)
-                self._mdc_stale = False
+            self._rebuild_indexes_locked()
             self._template_skyline_size = len(self._maintainer)
             self.cache.revise(lambda key, ids: None)  # ids were remapped
             self._reset_gate()
@@ -832,13 +830,13 @@ class SkylineService:
         with every other process mapping the same snapshot.  The
         borrowed file handle is released by :meth:`close`.  It then
         re-attaches the maintained template and
-        base skylines from their persisted id lists, deserialises the
-        IPO-tree (:mod:`repro.ipo.serialize`), and replays the
+        base skylines from their persisted id lists, regrows the
+        IPO-tree and the MDC filter from them, and replays the
         committed WAL tail through the normal mutation path - so the
         recovered service answers at the exact pre-crash data version
-        with structures identical to the ones the crash destroyed (the
-        kill-and-recover differential test in ``tests/test_storage.py``
-        pins this against a from-scratch rebuild).
+        (the kill-and-recover differential test in
+        ``tests/test_storage.py`` pins this against a from-scratch
+        rebuild).
 
         The template and ``ipo_k`` are part of the durable state; the
         purely operational knobs (backend, cache capacity,
@@ -901,8 +899,6 @@ class SkylineService:
             dynamic=dyn,
             template_skyline=_as_id_tuple(document.get("template_skyline")),
             base_skyline=_as_id_tuple(document.get("base_skyline")),
-            tree=document.get("tree"),
-            tree_stale=bool(document.get("tree_stale")),
             tail=tuple(tail),
             snapshot_version=int(document["data"]["data_version"]),
             gate_updates=int(document.get("gate_updates", 0)),
@@ -914,7 +910,11 @@ class SkylineService:
             backend=backend,
             planner_config=planner_config,
             cache_capacity=cache_capacity,
-            with_tree=False,  # restored from the snapshot document
+            # Documents written before snapshots stopped carrying the
+            # tree have a "tree" entry instead of "with_tree".
+            with_tree=bool(
+                document.get("with_tree", document.get("tree") is not None)
+            ),
             ipo_k=document.get("ipo_k"),
             with_mdc=(
                 bool(document.get("with_mdc", True))
@@ -1089,8 +1089,10 @@ class SkylineService:
 
         Everything recovery needs rides in one document: the dataset's
         full slot state *with canonical encodings*, the template, the
-        maintained skyline id lists, the serialized IPO-tree and the
-        staleness flags.  Callers must hold the write lock (or be the
+        maintained skyline id lists and which structures were built.
+        The indexes themselves are not written: recovery regrows them
+        fresh from the maintained skylines, so no staleness flag rides
+        along either.  Callers must hold the write lock (or be the
         single-threaded constructor).
         """
         dyn = self._dynamic
@@ -1111,35 +1113,22 @@ class SkylineService:
             "ipo_k": self._ipo_k,
             "template_skyline": maintained,
             "base_skyline": base_sky,
-            "tree": tree_to_dict(self.tree) if self.tree is not None else None,
-            "tree_stale": self._tree_stale,
             # The churn gate's window, so a recovered service keeps
-            # routing (and deferring tree refreshes) like this one.
+            # routing (and deferring index rebuilds) like this one.
             "gate_updates": gate[0],
             "gate_queries": gate[1],
-            # No mdc_stale field: recovery always rebuilds the MDC
-            # filter fresh from the maintained skylines, so persisted
-            # staleness would be dead payload.
+            "with_tree": self.tree is not None,
             "with_adaptive": self.adaptive is not None,
             "with_mdc": self.mdc is not None,
         }
 
-    def _new_filter(self, data) -> MDCFilter:
-        """An MDC filter over ``data``; it reuses the conditions of a tree
-        just built over the same data instead of computing them again."""
-        tree = self.tree
-        if tree is not None and tree.conditions is not None:
-            return MDCFilter(
-                data,
-                self.template,
-                backend=self.backend,
-                skyline_ids=tree.skyline_ids,
-                conditions=tree.conditions,
-            )
-        return MDCFilter(data, self.template, backend=self.backend)
-
     def _install_recovered(
-        self, restore: _RestoreState, *, with_mdc: bool, with_adaptive: bool
+        self,
+        restore: _RestoreState,
+        *,
+        with_tree: bool,
+        with_mdc: bool,
+        with_adaptive: bool,
     ) -> None:
         """Constructor tail for the recovery path (single-threaded).
 
@@ -1147,9 +1136,9 @@ class SkylineService:
         dataset carries the snapshot's version/tombstones/compaction
         epoch, the maintainers re-attach from their persisted id lists
         (skipping the O(n) initial computation), Adaptive SFS becomes a
-        view over the template maintainer, the MDC filter is rebuilt
-        fresh over the live rows, the IPO-tree is deserialised rather
-        than rebuilt, and the churn gate resumes its persisted window.
+        view over the template maintainer, the IPO-tree and the MDC
+        filter are regrown fresh from the maintained skylines, and the
+        churn gate resumes its persisted window.
         """
         dyn = restore.dynamic
         self._dynamic = dyn
@@ -1170,59 +1159,56 @@ class SkylineService:
             if with_adaptive
             else None
         )
-        # Rebuilt from the *live* rows and the maintained skylines, so
-        # it is fresh by construction even when the crashed service had
-        # let it go stale.
-        self.mdc = (
-            MDCFilter(
+        self.tree = self.mdc = None
+        self._rebuild_indexes_locked(with_tree=with_tree, with_mdc=with_mdc)
+        self._template_skyline_size = len(self._maintainer)
+
+    def _rebuild_indexes_locked(
+        self, *, with_tree: bool = False, with_mdc: bool = False
+    ) -> None:
+        """Rebuild the IPO-tree and the MDC filter over the live rows.
+
+        One :class:`~repro.mdc.mdc.ConditionStore` is computed for the
+        maintained template skyline, with the maintained base skyline
+        as its candidate dominators, so no rebuild scans the base data;
+        the tree regrows from it (:meth:`IPOTree.refresh`) and the
+        filter wraps it.  ``with_tree`` / ``with_mdc`` build a structure
+        the service does not hold yet (recovery).  Callers hold the
+        write lock (or are the single-threaded constructor).
+        """
+        self._indexes_stale = False
+        with_tree = with_tree or self.tree is not None
+        with_mdc = with_mdc or self.mdc is not None
+        if not (with_tree or with_mdc):
+            return
+        dyn = self._dynamic
+        store = ConditionStore.compute(
+            dyn,
+            self._maintainer.ids,
+            candidates=self._base_maintainer.ids,
+            backend=self.backend,
+        )
+        if self.tree is not None:
+            self.tree.refresh(dyn, store)
+        elif with_tree:
+            self.tree = IPOTree.build(
                 dyn,
                 self.template,
+                values_per_attribute=self._ipo_k,
                 backend=self.backend,
-                skyline_ids=self._maintainer.ids,
-                base_skyline_ids=self._base_maintainer.ids,
+                conditions=store,
             )
-            if with_mdc
-            else None
-        )
-        self._mdc_stale = False
-        self.tree = None
-        if restore.tree is not None:
-            self.tree = tree_from_dict(self.dataset, restore.tree)
-            # Prime the refresh diff baseline from the maintained base
-            # skyline - otherwise the first refresh pays a full
-            # base-data scan to reconstruct one.
-            self.tree.prime_refresh_baseline(
-                dyn,
-                base_skyline_ids=self._base_maintainer.ids,
-                backend=self.backend,
+        if with_mdc:
+            self.mdc = MDCFilter(
+                dyn, self.template, backend=self.backend, conditions=store
             )
-            if restore.tree_stale:
-                # The checkpointed tree *content* lags the snapshot
-                # data, and the true baseline it would need for an
-                # incremental diff died with the crashed process - a
-                # baseline recomputed from the current data would
-                # compare old-vs-new as equal for members whose
-                # conditions changed, hiding flips.  Rework every old
-                # and new member instead (an all-dirty refresh rewrites
-                # each entry from the freshly computed conditions -
-                # equivalent to a rebuild of the per-node sets), which
-                # also brings the tree back into service immediately.
-                self.tree.refresh(
-                    set(self.tree.skyline_ids) | set(self._maintainer.ids),
-                    data=dyn,
-                    skyline_ids=self._maintainer.ids,
-                    base_skyline_ids=self._base_maintainer.ids,
-                    backend=self.backend,
-                )
-            self._tree_stale = False
-        self._template_skyline_size = len(self._maintainer)
 
     def _replay_tail(self, tail: Sequence[dict]) -> None:
         """Apply the committed WAL tail through the normal mutation path.
 
         Each record re-runs the same incremental maintenance it ran
-        before the crash (maintainers, the Adaptive SFS view, tree
-        refresh, cache revision over the still-empty cache) with WAL
+        before the crash (maintainers, the Adaptive SFS view, index
+        rebuilds, cache revision over the still-empty cache) with WAL
         logging suppressed - the records are already durable;
         re-appending them would duplicate history.  Every record's version stamp is
         verified against the version the replay actually produced.
@@ -1380,7 +1366,6 @@ class SkylineService:
             cache_retained=0,
             cache_patched=0,
             cache_invalidated=0,
-            tree_refreshed=False,
             seconds=time.perf_counter() - started,
         )
 
@@ -1431,32 +1416,18 @@ class SkylineService:
                 self.adaptive.apply(effect)
             entered.extend(effect.entered)
             evicted.extend(effect.evicted)
-        dirty = set(entered) | set(evicted)
         self._template_skyline_size = len(self._maintainer)
 
-        tree_refreshed = False
-        if self.tree is not None and (
-            dirty or base_changed or self._tree_stale
-        ):
+        if entered or evicted or base_changed or self._indexes_stale:
             # A batch with no skyline flip and an unchanged base
-            # skyline provably cannot move any tree entry: candidate
+            # skyline provably cannot change either index: candidate
             # dominators and member rows are both untouched - unless
-            # the tree is already stale from earlier batches, in which
-            # case a below-gate lull is exactly when to catch it up.
+            # they are already stale from earlier batches, in which
+            # case a below-gate lull is exactly when to catch them up.
             if self._update_ratio() < self.planner.config.incremental_update_ratio:
-                self.tree.refresh(
-                    dirty,
-                    data=dyn,
-                    skyline_ids=self._maintainer.ids,
-                    base_skyline_ids=self._base_maintainer.ids,
-                    backend=self.backend,
-                )
-                self._tree_stale = False
-                tree_refreshed = True
+                self._rebuild_indexes_locked()
             else:
-                self._tree_stale = True
-        if base_changed or dirty:
-            self._mdc_stale = True
+                self._indexes_stale = True
 
         if kind == "insert":
             retained, patched, invalidated = self.cache.revise(
@@ -1478,7 +1449,6 @@ class SkylineService:
             cache_retained=retained,
             cache_patched=patched,
             cache_invalidated=invalidated,
-            tree_refreshed=tree_refreshed,
             seconds=time.perf_counter() - started,
         )
 
@@ -1534,11 +1504,7 @@ class SkylineService:
         stale-store fence (it carries the current version) and poison
         subsequent planned queries.  Callers must hold the read lock.
         """
-        if route == "ipo":
-            return self._tree_stale
-        if route == "mdc":
-            return self._mdc_stale
-        return False
+        return route in ("ipo", "mdc") and self._indexes_stale
 
     def _update_ratio(self) -> float:
         """Recent updates per recent query (the churn-gate signal).
@@ -1553,10 +1519,10 @@ class SkylineService:
         route to the rebuilt structures immediately.
 
         With *no* queries in the window there is no latency to protect
-        and eager refresh is cheap insurance, so the ratio reports 0.0
-        - otherwise the very first update of a service's life (ratio
-        ``1/max(1, 0)``) would trip the gate and leave the tree stale
-        until an operator intervened.
+        and an eager rebuild is cheap insurance, so the ratio reports
+        0.0 - otherwise the very first update of a service's life
+        (ratio ``1/max(1, 0)``) would trip the gate and leave the
+        indexes stale until an operator intervened.
         """
         with self._lock:
             queries = self._gate_queries
@@ -1572,32 +1538,16 @@ class SkylineService:
             self._gate_queries = 0
 
     def _refresh_structures_locked(self) -> None:
-        if self._dynamic is None or self._maintainer is None:
+        if self._dynamic is None:
             return
-        if self._tree_stale and self.tree is not None:
-            self.tree.refresh(
-                (),
-                data=self._dynamic,
-                skyline_ids=self._maintainer.ids,
-                base_skyline_ids=self._base_maintainer.ids,
-                backend=self.backend,
-            )
-            self._tree_stale = False
-        if self._mdc_stale and self.mdc is not None:
-            self.mdc = MDCFilter(
-                self._dynamic,
-                self.template,
-                backend=self.backend,
-                skyline_ids=self._maintainer.ids,
-                base_skyline_ids=self._base_maintainer.ids,
-            )
-            self._mdc_stale = False
+        if self._indexes_stale:
+            self._rebuild_indexes_locked()
         self._reset_gate()
 
     def _signals(self, preference: Optional[Preference]) -> PlanSignals:
         """Gather the cheap cost signals for one query."""
         pref = preference if preference is not None else Preference.empty()
-        tree_ok = self.tree is not None and not self._tree_stale
+        tree_ok = self.tree is not None and not self._indexes_stale
         return PlanSignals(
             dataset_rows=(
                 len(self._dynamic)
@@ -1616,7 +1566,7 @@ class SkylineService:
                 else 0
             ),
             template_skyline_size=self._template_skyline_size,
-            mdc_available=self.mdc is not None and not self._mdc_stale,
+            mdc_available=self.mdc is not None and not self._indexes_stale,
             backend_vectorized=self.backend.vectorized,
             dimensions=len(self.dataset.schema),
             bitset_available=self.bitset is not None,

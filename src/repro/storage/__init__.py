@@ -2,10 +2,11 @@
 
 Everything the serving stack builds - the
 :class:`~repro.updates.dataset.DynamicDataset`, the maintained
-:class:`~repro.updates.incremental.IncrementalSkyline`, the IPO-tree,
-the semantic cache - is otherwise process-resident and dies with a
-restart.  This package implements the classic snapshot + write-ahead
-log pattern around those structures:
+:class:`~repro.updates.incremental.IncrementalSkyline`, the semantic
+cache - is otherwise process-resident and dies with a restart.  This
+package implements the classic snapshot + write-ahead log pattern
+around the data and the maintained skylines (the indexes are regrown
+from those at recovery):
 
 * :mod:`repro.storage.snapshot` - atomic, versioned JSON snapshots of
   the full dataset slot space **with its canonical encodings**, so a
@@ -29,6 +30,7 @@ from repro.storage.snapshot import (
     dataset_state,
     read_snapshot,
     restore_dataset,
+    schema_fingerprint,
     schema_from_fingerprint,
     write_snapshot,
 )
@@ -51,6 +53,7 @@ __all__ = [
     "frame_record",
     "read_snapshot",
     "restore_dataset",
+    "schema_fingerprint",
     "schema_from_fingerprint",
     "verify_frame",
     "write_snapshot",

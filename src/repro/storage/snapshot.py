@@ -50,9 +50,10 @@ half-written snapshot that recovery could mistake for state.
 
 Values must be JSON-representable (strings, numbers, booleans,
 ``None``); that covers every dataset this library generates or loads.
-Schemas round-trip through the same structural fingerprint the
-IPO-tree serialisation uses, so a snapshot, the tree document embedded
-in it and the live schema can all be cross-checked.
+Schemas round-trip through a structural fingerprint
+(:func:`schema_fingerprint`), so a snapshot and the live schema can be
+cross-checked; preferences (the service's template) through
+:func:`preference_to_dict`.
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ from repro.core.colstore import (
     ColumnStore,
     JsonColumnStore,
 )
+from repro.core.preferences import ImplicitPreference, Preference
 from repro.engine.columnar import numpy_available
 from repro.exceptions import StorageError
-from repro.ipo.serialize import schema_fingerprint
 from repro.updates.dataset import DynamicDataset
 
 #: Bump when the snapshot document layout changes incompatibly.
@@ -113,10 +114,18 @@ def resolve_mmap_mode(mmap: object = None) -> str:
     return value
 
 
+def schema_fingerprint(schema: Schema) -> List[List[object]]:
+    """A JSON-friendly structural description of a schema."""
+    return [
+        [spec.name, spec.kind.value, list(spec.domain) if spec.domain else None]
+        for spec in schema
+    ]
+
+
 def schema_from_fingerprint(fingerprint: List[List[object]]) -> Schema:
     """Reconstruct a :class:`Schema` from its structural fingerprint.
 
-    Inverse of :func:`repro.ipo.serialize.schema_fingerprint`; the
+    Inverse of :func:`schema_fingerprint`; the
     fingerprint is fully structural (name, kind, domain), so the
     rebuilt schema is equal to the original and assigns identical
     canonical value ids.
@@ -138,6 +147,18 @@ def schema_from_fingerprint(fingerprint: List[List[object]]) -> Schema:
                 f"malformed: {exc}"
             ) from None
     return Schema(specs)
+
+
+def preference_to_dict(preference: Preference) -> Dict[str, List[object]]:
+    """JSON-friendly form of a preference: attribute -> chain."""
+    return {name: list(pref.choices) for name, pref in preference.items()}
+
+
+def preference_from_dict(data: Dict[str, List[object]]) -> Preference:
+    """Inverse of :func:`preference_to_dict`."""
+    return Preference(
+        {name: ImplicitPreference(tuple(chain)) for name, chain in data.items()}
+    )
 
 
 def dataset_state(data: DynamicDataset) -> Dict:

@@ -11,9 +11,8 @@ layer:
   inserts are one dominance sweep (evict what the new point
   dominates), deletes recompute only the removed point's exclusive
   dominance region through the engine kernels.
-* :class:`UpdateEffect` - the membership delta of one update; its
-  ``dirty`` set drives the IPO-tree refresh and the semantic-cache
-  revision in :mod:`repro.serve`.
+* :class:`UpdateEffect` - the membership delta of one update; a
+  non-empty one makes :mod:`repro.serve` rebuild its indexes.
 * :class:`ReadWriteLock` - writer-preferring RW lock letting queries
   stay concurrent while updates run exclusively.
 

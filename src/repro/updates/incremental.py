@@ -80,10 +80,9 @@ PYTHON_GROUP_ROWS = 512
 class UpdateEffect:
     """What one maintained update did to the skyline.
 
-    ``entered``/``evicted`` list the member ids that joined/left;
-    together they are the *dirty set* downstream structures (the
-    IPO-tree refresh, the semantic cache revision) key their own
-    incremental work on.
+    ``entered``/``evicted`` list the member ids that joined/left; the
+    serving layer reports them per batch and rebuilds its indexes only
+    when some skyline changed.
     """
 
     kind: str
@@ -95,11 +94,6 @@ class UpdateEffect:
     def changed(self) -> bool:
         """True iff the skyline membership changed at all."""
         return bool(self.entered or self.evicted)
-
-    @property
-    def dirty(self) -> Tuple[int, ...]:
-        """Ids whose membership flipped (entered + evicted)."""
-        return self.entered + self.evicted
 
 
 def admit(

@@ -34,7 +34,6 @@ from repro.engine.bitset_backend import _bucket_template
 from repro.engine.columnar import numpy_available
 from repro.exceptions import DatasetError, StorageError
 from repro.faults import FaultPlan, FaultRule
-from repro.ipo.serialize import schema_fingerprint
 from repro.serve.service import SkylineService
 from repro.storage import DurableStore, dataset_state, restore_dataset
 from repro.storage.snapshot import (
@@ -42,6 +41,7 @@ from repro.storage.snapshot import (
     read_snapshot,
     read_snapshot_header,
     resolve_mmap_mode,
+    schema_fingerprint,
     write_snapshot,
 )
 from repro.updates.dataset import DynamicDataset

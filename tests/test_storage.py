@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.attributes import Schema, nominal, numeric_min
 from repro.core.dataset import Dataset
+from repro.core.preferences import Preference
 from repro.core.skyline import skyline
 from repro.datagen import SyntheticConfig, generate
 from repro.datagen.generator import frequent_value_template
@@ -34,9 +35,11 @@ from repro.storage import (
     dataset_state,
     read_snapshot,
     restore_dataset,
+    schema_fingerprint,
     schema_from_fingerprint,
     write_snapshot,
 )
+from repro.storage.snapshot import preference_from_dict, preference_to_dict
 from repro.updates.dataset import DynamicDataset
 
 SCHEMA = Schema(
@@ -166,10 +169,19 @@ class TestWriteAheadLog:
             wal.append({"op": "compact", "version": 1})
 
 
+class TestPreferenceDict:
+    def test_roundtrip(self):
+        pref = Preference({"A": ["x", "y"], "B": ["z"]})
+        assert preference_from_dict(preference_to_dict(pref)) == pref
+
+    def test_empty(self):
+        assert preference_from_dict(preference_to_dict(Preference.empty())) == (
+            Preference.empty()
+        )
+
+
 class TestSnapshot:
     def test_schema_fingerprint_roundtrip(self):
-        from repro.ipo.serialize import schema_fingerprint
-
         fingerprint = schema_fingerprint(SCHEMA)
         rebuilt = schema_from_fingerprint(
             json.loads(json.dumps(fingerprint))
@@ -512,15 +524,11 @@ class TestKillAndRecover:
                 ).ids == oracle(recovered, pref), route
 
     def test_stale_tree_checkpoint_recovers_to_fresh_answers(self, tmp_path):
-        """Regression: a checkpoint taken while the IPO-tree was stale.
+        """A checkpoint taken while the indexes were stale.
 
-        The true refresh baseline of a stale tree died with the
-        process, so recovery cannot diff its way back in sync - it must
-        rework every member.  Before the fix, the first post-recovery
-        refresh rebuilt the baseline from the *snapshot* data, compared
-        old-vs-new as equal for members whose conditions changed, and
-        served wrong answers on the ipo route with the stale flag
-        cleared.
+        Snapshots carry no index: recovery regrows the IPO-tree from
+        the maintained skylines, so the recovered tree is fresh and
+        answers exactly on the ipo route.
         """
         from repro.serve.planner import PlannerConfig
 
@@ -532,18 +540,55 @@ class TestKillAndRecover:
         for pref in prefs:           # queries arm the churn gate ...
             service.query(pref)
         churn(service, base, 4, seed=17, live=live)   # ... updates trip it
-        assert service._tree_stale, "setup must leave the tree stale"
+        assert service._indexes_stale, "setup must leave the tree stale"
         service.checkpoint()
         version = service.version
         del service
 
         recovered = SkylineService.recover(tmp_path / "state")
         assert recovered.version == version
-        assert not recovered._tree_stale
+        assert not recovered._indexes_stale
         for pref in prefs:
             assert recovered.query(
                 pref, use_cache=False, route="ipo"
             ).ids == oracle(recovered, pref)
+
+    def test_snapshot_in_the_tree_carrying_format_recovers(self, tmp_path):
+        """Documents from when snapshots held the serialized IPO-tree.
+
+        That format has ``tree`` / ``tree_stale`` entries and no
+        ``with_tree``; a non-null ``tree`` means the service had one.
+        Its content is not read: the tree is regrown, and answers
+        exactly even where the old entry was stale.
+        """
+        base, template, service, prefs = make_durable_service(tmp_path)
+        live = list(range(len(base)))
+        churn(service, base, 4, seed=19, live=live)
+        document = json.loads(json.dumps(service._durable_state()))
+        del document["with_tree"]
+        document["tree"] = {"format_version": 1, "root": None}
+        document["tree_stale"] = True
+
+        restored = SkylineService.from_snapshot(document)
+        assert restored.tree is not None
+        assert not restored._indexes_stale
+        snap = restored.data_snapshot()
+        translate = restored._dynamic.snapshot_ids()
+        for pref in prefs:
+            expected = skyline(
+                snap, pref, template=template, algorithm="bruteforce"
+            ).ids
+            assert restored.query(pref, use_cache=False, route="ipo").ids == (
+                tuple(sorted(translate[i] for i in expected))
+            )
+        document["tree"] = None
+        assert SkylineService.from_snapshot(document).tree is None
+
+    def test_snapshots_carry_no_tree(self, tmp_path):
+        base, template, service, prefs = make_durable_service(tmp_path)
+        document = service._durable_state()
+        assert document["with_tree"] is True
+        assert "tree" not in document and "tree_stale" not in document
 
     def test_recovery_replays_a_compact_record(self, tmp_path):
         base, template, service, prefs = make_durable_service(tmp_path)

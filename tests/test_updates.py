@@ -3,7 +3,7 @@
 The metamorphic (hypothesis) suite lives in
 ``tests/test_updates_properties.py``; this file pins the concrete
 behaviours: DynamicDataset bookkeeping, IncrementalSkyline effects,
-IPOTree.refresh equivalence, versioned cache revision, and the
+IPOTree.refresh (regrow) equivalence, versioned cache revision, and the
 SkylineService mutation API against a brute-force oracle.
 """
 
@@ -23,6 +23,7 @@ from repro.datagen.queries import generate_preferences
 from repro.engine import available_backends
 from repro.exceptions import DatasetError
 from repro.ipo.tree import IPOTree
+from repro.mdc.mdc import ConditionStore
 from repro.serve import PlannerConfig, SkylineService
 from repro.updates import DynamicDataset, IncrementalSkyline
 
@@ -219,6 +220,67 @@ class TestIncrementalSkyline:
                 assert maintained == sky.rebuild()
 
 
+def churned(seed, *, tombstone_top_value=False):
+    """A dataset, template and churned dynamic copy with both maintainers.
+
+    ``tombstone_top_value`` deletes most rows holding the most frequent
+    value of the first nominal attribute, so counting value frequencies
+    over dead slots would rank the values differently.
+    """
+    base = generate(
+        SyntheticConfig(
+            num_points=250, num_numeric=2, num_nominal=2,
+            cardinality=4, seed=seed,
+        )
+    )
+    template = frequent_value_template(base)
+    extra = generate(
+        SyntheticConfig(
+            num_points=80, num_numeric=2, num_nominal=2,
+            cardinality=4, seed=seed + 1,
+        )
+    )
+    data = DynamicDataset.from_dataset(base)
+    sky = IncrementalSkyline(data, template)
+    bases = IncrementalSkyline(data)  # empty preference = SKY(R0)
+    rng = random.Random(seed)
+    live = list(data.ids)
+    if tombstone_top_value:
+        name = base.schema[base.schema.nominal_indices[0]].name
+        top = base.most_frequent(name, 1)[0]
+        column = base.schema.index_of(name)
+        victims = [i for i in live if base.row(i)[column] == top]
+        victims = victims[: 3 * len(victims) // 4]
+        live = [i for i in live if i not in set(victims)]
+        data.delete(victims)
+        for victim in victims:
+            sky.delete(victim)
+            bases.delete(victim)
+    for _ in range(60):
+        if rng.random() < 0.5 and live:
+            victim = live.pop(rng.randrange(len(live)))
+            data.delete([victim])
+            sky.delete(victim)
+            bases.delete(victim)
+        else:
+            pid = data.append([extra.row(rng.randrange(len(extra)))])[0]
+            sky.insert(pid)
+            bases.insert(pid)
+            live.append(pid)
+    return base, template, data, sky, bases
+
+
+def assert_same_nodes(tree, fresh, fresh_ids):
+    """Node-by-node equality, ``fresh``'s ids mapped through ``fresh_ids``."""
+    assert tree.candidates == fresh.candidates
+    assert tree.skyline_ids == tuple(fresh_ids[i] for i in fresh.skyline_ids)
+    pairs = list(zip(tree.root.walk(), fresh.root.walk()))
+    assert len(pairs) == tree.node_count() == fresh.node_count()
+    for mine, theirs in pairs:
+        assert mine.label == theirs.label
+        assert mine.disqualified == {fresh_ids[i] for i in theirs.disqualified}
+
+
 class TestTreeRefresh:
     @pytest.mark.parametrize("payload", ["set", "bitmap"])
     def test_refresh_matches_fresh_build(self, payload):
@@ -241,20 +303,19 @@ class TestTreeRefresh:
         tree = IPOTree.build(base, template, payload=payload)
         live = list(data.ids)
         for batch in range(3):
-            dirty = set()
             for _ in range(20):
                 if rng.random() < 0.5 and live:
                     victim = live.pop(rng.randrange(len(live)))
                     data.delete([victim])
-                    dirty.update(sky.delete(victim).dirty)
+                    sky.delete(victim)
                 else:
                     pid = data.append(
                         [extra.row(rng.randrange(len(extra)))]
                     )[0]
-                    dirty.update(sky.insert(pid).dirty)
+                    sky.insert(pid)
                     live.append(pid)
-            stats = tree.refresh(dirty, data=data, skyline_ids=sky.ids)
-            assert stats.skyline_size == len(sky.ids)
+            tree.refresh(data, ConditionStore.compute(data, sky.ids))
+            assert tree.stats.skyline_size == len(sky.ids)
             snap, snap_ids = data.snapshot(), data.snapshot_ids()
             fresh = IPOTree.build(snap, template, payload=payload)
             assert tree.skyline_ids == tuple(
@@ -277,10 +338,50 @@ class TestTreeRefresh:
         template = frequent_value_template(base)
         tree = IPOTree.build(base, template)
         before = tree.skyline_ids
-        stats = tree.refresh(())
-        assert stats.dirty == 0
-        assert stats.entries_updated == 0
+        nodes = [(node.label, node.disqualified) for node in tree.root.walk()]
+        tree.refresh(base, tree.conditions)
         assert tree.skyline_ids == before
+        assert [
+            (node.label, node.disqualified) for node in tree.root.walk()
+        ] == nodes
+
+
+class TestRegrow:
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_regrow_equals_a_build_over_the_live_rows(self, k):
+        base, template, data, sky, bases = churned(51)
+        tree = IPOTree.build(base, template, values_per_attribute=k)
+        tree.refresh(
+            data, ConditionStore.compute(data, sky.ids, candidates=bases.ids)
+        )
+        snap, snap_ids = data.snapshot(), data.snapshot_ids()
+        schema = snap.schema
+        values = {
+            schema[dim].name: [schema[dim].domain[v] for v in vids]
+            for dim, vids in zip(tree.nominal_dims, tree.candidates)
+        }
+        fresh = IPOTree.build(snap, template, values_per_attribute=values)
+        assert_same_nodes(tree, fresh, snap_ids)
+
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_build_over_tombstones_equals_the_compacted_copy(self, k):
+        base, template, data, sky, bases = churned(
+            53, tombstone_top_value=True
+        )
+        assert data.deleted_fraction > 0
+        over_dynamic = IPOTree.build(data, template, values_per_attribute=k)
+        compacted, ids = data.snapshot(), data.snapshot_ids()
+        over_copy = IPOTree.build(
+            compacted, template, values_per_attribute=k
+        )
+        assert_same_nodes(over_dynamic, over_copy, ids)
+        shared = IPOTree.build(
+            data, template, values_per_attribute=k,
+            conditions=ConditionStore.compute(
+                data, sky.ids, candidates=bases.ids
+            ),
+        )
+        assert_same_nodes(shared, over_copy, ids)
 
 
 class TestServiceUpdates:
@@ -450,11 +551,9 @@ class TestServiceUpdates:
         # deleting a template-skyline member stales the MDC filter.
         member = service.query(None, use_cache=False).ids[0]
         service.delete_rows([member])
-        assert service._tree_stale or service.tree is None
-        assert service._mdc_stale
+        assert service._indexes_stale
         service.refresh_structures()
-        assert not service._tree_stale
-        assert not service._mdc_stale
+        assert not service._indexes_stale
         for route in ("ipo", "mdc", "adaptive"):
             got = service.query(prefs[0], route=route)
             assert got.ids == self.oracle(service, template, prefs[0]), route
@@ -647,7 +746,7 @@ class TestReviewRegressions:
         # changes this preference's answer.
         member = fresh[0]
         service.delete_rows([member])
-        assert service._tree_stale
+        assert service._indexes_stale
         stale = service.query(pref, route="ipo")  # stale by design
         assert member in stale.ids  # the stale structure still has it
         # The poisoned answer must NOT have been stored: a planned
@@ -697,11 +796,10 @@ class TestReviewRegressions:
         bases = IncrementalSkyline(data)  # empty preference = SKY(R0)
         tree = IPOTree.build(base, template)
         pid = data.append([base.row(0)])[0]
-        dirty = set(sky.insert(pid).dirty)
+        sky.insert(pid)
         bases.insert(pid)
         tree.refresh(
-            dirty, data=data, skyline_ids=sky.ids,
-            base_skyline_ids=bases.ids,
+            data, ConditionStore.compute(data, sky.ids, candidates=bases.ids)
         )
         snap, snap_ids = data.snapshot(), data.snapshot_ids()
         fresh = IPOTree.build(snap, template)
@@ -739,13 +837,14 @@ class TestReviewRegressions:
         )
         template = frequent_value_template(base)
         service = SkylineService(base, template, cache_capacity=8)
+        root = service.tree.root
         worst = TestServiceUpdates.extreme_row(base.schema, 10**9)
         report = service.insert_rows([worst])
         # Dominated on every dimension: no skyline flip anywhere, so
-        # the tree neither refreshed nor went stale.
+        # the tree was neither regrown nor marked stale.
         assert not report.skyline_entered and not report.skyline_evicted
-        assert not report.tree_refreshed
-        assert not service._tree_stale
+        assert service.tree.root is root
+        assert not service._indexes_stale
         pref = generate_preferences(
             base, order=2, count=1, template=template, seed=6
         )[0]
@@ -788,11 +887,13 @@ class TestReviewRegressions:
         template = frequent_value_template(base)
         service = SkylineService(base, template, cache_capacity=8)
         member = skyline(base, None, template=template).ids[0]
+        root = service.tree.root
         # No query has been served: the gate must not trip, the tree
-        # must be refreshed eagerly, and ipo stays routable.
-        report = service.delete_rows([member])
-        assert report.tree_refreshed
-        assert not service._tree_stale
+        # must be regrown eagerly, and ipo stays routable.
+        service.delete_rows([member])
+        assert service.tree.root is not root
+        assert member not in service.tree.skyline_ids
+        assert not service._indexes_stale
 
     def test_stale_tree_recovers_on_a_later_noop_batch(self):
         base = generate(
@@ -809,17 +910,18 @@ class TestReviewRegressions:
             service.delete_rows(
                 [service.query(None, use_cache=False).ids[0]]
             )
-        assert service._tree_stale
+        assert service._indexes_stale
+        root = service.tree.root
         # ... then a lull: enough queries drop the ratio below the
         # gate, and the next batch - even a no-op one - catches the
         # tree up instead of skipping it.
         for _ in range(40):
             service.query(None, use_cache=False)
-        report = service.insert_rows(
+        service.insert_rows(
             [TestServiceUpdates.extreme_row(base.schema, 10**9)]
         )
-        assert report.tree_refreshed
-        assert not service._tree_stale
+        assert service.tree.root is not root
+        assert not service._indexes_stale
 
     def test_compact_without_tombstones_still_realigns_structures(self):
         base = generate(
@@ -844,7 +946,7 @@ class TestReviewRegressions:
         service2.query(None)
         best = TestServiceUpdates.extreme_row(base.schema, -10**9)
         service2.insert_rows([best])  # gate 0.0: tree goes stale
-        assert service2._tree_stale
+        assert service2._indexes_stale
         assert service2._dynamic.deleted_fraction == 0.0
         service2.compact()  # identity path must still re-align
-        assert not service2._tree_stale
+        assert not service2._indexes_stale
