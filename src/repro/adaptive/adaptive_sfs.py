@@ -130,8 +130,7 @@ class AdaptiveSFS:
         ``template`` (no preference of its own).  Its member ids are
         trusted as-is - only the ``|SKY(R~)|`` member scores are
         computed - and later mutations reach the view through
-        :meth:`apply`.  The serving layer builds its view this way on
-        recovery and after compaction.
+        :meth:`apply`.  This is how the serving layer builds its view.
         """
         started = time.perf_counter()
         out = cls.__new__(cls)
@@ -330,10 +329,11 @@ class AdaptiveSFS:
         """Hand ``SKY(R~)`` over to ``maintainer`` from now on.
 
         ``maintainer`` must already hold exactly this view's members,
-        over a dynamic dataset whose ids extend the view's (the serving
-        layer seeds it from :attr:`skyline_ids` on its first mutation,
-        so nothing is recomputed).  Its effects then reach the view
-        through :meth:`apply`.
+        over a dynamic dataset whose ids extend the view's: the view
+        :meth:`over` builds, or a standalone index's private maintainer,
+        seeded from :attr:`skyline_ids` on its first mutation so nothing
+        is recomputed.  Its effects then reach the view through
+        :meth:`apply`.
         """
         self._maintainer = maintainer
         self._data = maintainer.data

@@ -13,7 +13,7 @@ move inside the presorted list.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set
 
 from repro.core.dominance import RankTable
 
@@ -68,21 +68,3 @@ def listed_values(table: RankTable) -> Dict[int, Set[int]]:
             out[dim] = listed
     return out
 
-
-def score_delta(
-    template_table: RankTable,
-    query_table: RankTable,
-    row: Tuple,
-) -> float:
-    """``f_query(row) - f_template(row)`` without recomputing both sums.
-
-    Only nominal dimensions with changed ranks contribute; used to
-    re-score affected points in O(number of nominal dims).
-    """
-    delta = 0.0
-    for dim in template_table.schema.nominal_indices:
-        vid = row[dim]
-        delta += query_table.nominal_rank(dim, vid) - template_table.nominal_rank(
-            dim, vid
-        )
-    return delta

@@ -58,21 +58,16 @@ class MDCFilter:
         template: Optional[Preference] = None,
         backend=None,
         *,
-        skyline_ids=None,
-        base_skyline_ids=None,
         conditions: Optional[ConditionStore] = None,
     ) -> None:
-        """Build the filter; optionally reuse maintained skylines.
+        """Build the filter, or wrap a precomputed condition store.
 
-        ``skyline_ids`` (the template skyline) and ``base_skyline_ids``
-        (the base skyline, the candidate dominators of the MDC
-        computation) skip the two O(n) kernel scans when a caller
-        already maintains them.  ``conditions`` skips the MDC
-        computation and both scans: a store computed over the same
-        data for the template skyline (its ``ids``), such as an
-        MDC-built IPO-tree's :attr:`~repro.ipo.tree.IPOTree.conditions`
-        or the serving layer's shared store.  All three are trusted
-        as-is; passing stale ones yields a stale filter.
+        ``conditions`` skips the template-skyline scan and the MDC
+        computation: a store computed over the same data for the
+        template skyline (its ``ids``), such as an MDC-built IPO-tree's
+        :attr:`~repro.ipo.tree.IPOTree.conditions` or the serving
+        layer's shared store.  It is trusted as-is; a stale store
+        yields a stale filter.
         """
         started = time.perf_counter()
         self.dataset = dataset
@@ -80,33 +75,22 @@ class MDCFilter:
         self.template.validate_against(dataset.schema)
         self.backend = resolve_backend(backend)
 
-        if conditions is not None:
-            skyline_ids = conditions.ids
-        if skyline_ids is not None:
-            self.skyline_ids: Tuple[int, ...] = tuple(sorted(skyline_ids))
-        else:
+        if conditions is None:
             template_table = RankTable.compile(
                 dataset.schema, None, self.template
             )
             store = dataset.columns if self.backend.vectorized else None
-            self.skyline_ids = tuple(
-                sorted(
-                    sfs_skyline(
-                        dataset.canonical_rows,
-                        dataset.ids,
-                        template_table,
-                        backend=self.backend,
-                        store=store,
-                    )
-                )
-            )
-        if conditions is None:
-            conditions = ConditionStore.compute(
-                dataset,
-                self.skyline_ids,
-                candidates=base_skyline_ids,
+            members = sfs_skyline(
+                dataset.canonical_rows,
+                dataset.ids,
+                template_table,
                 backend=self.backend,
+                store=store,
             )
+            conditions = ConditionStore.compute(
+                dataset, sorted(members), backend=self.backend
+            )
+        self.skyline_ids: Tuple[int, ...] = tuple(sorted(conditions.ids))
         self._conditions = conditions
         self._mdcs: Dict[int, List[DisqualifyingCondition]] = conditions.mdcs
         self.preprocessing_seconds = time.perf_counter() - started

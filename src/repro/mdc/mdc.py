@@ -56,12 +56,11 @@ from __future__ import annotations
 from itertools import compress
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.algorithms.sfs import sfs_skyline
-from repro.core.attributes import AttributeKind, Schema
+from repro.core.attributes import Schema
 from repro.core.dataset import Dataset
-from repro.core.dominance import RankTable
 from repro.core.preferences import Preference
 from repro.exceptions import PreferenceError
+from repro.updates.incremental import base_skyline
 
 
 class DisqualifyingCondition:
@@ -147,18 +146,6 @@ class DisqualifyingCondition:
         return True
 
 
-def numeric_only(template: Preference, schema: Schema) -> Preference:
-    """Drop the template's nominal chains, keeping universal orders only.
-
-    The universal (numeric/ordinal) orders live in the schema, not in the
-    preference object, so the numeric-only base order is simply the empty
-    preference; this helper exists to make call sites self-documenting
-    and to validate the template.
-    """
-    template.validate_against(schema)
-    return Preference.empty()
-
-
 def compute_mdcs(
     dataset: Dataset,
     points: Iterable[int],
@@ -181,7 +168,8 @@ def compute_mdcs(
         *empty* disqualifying condition, which is reported as such.
     candidates:
         Ids allowed as dominators.  Defaults to the base skyline
-        ``SKY(R0)``, which is sufficient (see module docstring).
+        ``SKY(R0)``, which is sufficient (see module docstring), built
+        by :func:`~repro.updates.incremental.base_skyline`.
     backend:
         Execution backend (name, instance or ``None`` for the process
         default).  A vectorized backend screens the candidate set per
@@ -203,12 +191,9 @@ def compute_mdcs(
     points = list(points)
     schema = dataset.schema
     rows = dataset.canonical_rows
-    base_table = RankTable.compile(schema, None, None)
     store = dataset.columns if engine.vectorized else None
     if candidates is None:
-        candidates = sfs_skyline(
-            rows, dataset.ids, base_table, backend=engine, store=store
-        )
+        candidates = base_skyline(dataset, backend=engine)
 
     nominal_dims = set(schema.nominal_indices)
     numeric_dims = [
@@ -221,21 +206,23 @@ def compute_mdcs(
             sorted(nominal_dims),
         )
     else:
-        viable_per_point = None
+        # Every point screens every candidate: read each candidate row
+        # once (a row of a store-backed base is decoded per read).
+        every = [(q_id, rows[q_id]) for q_id in candidates]
 
     out: Dict[int, List[DisqualifyingCondition]] = {}
     for p_id in points:
         p = rows[p_id]
         conditions: List[DisqualifyingCondition] = []
         pool = (
-            candidates if viable_per_point is None else viable_per_point[p_id]
+            [(q_id, rows[q_id]) for q_id in viable_per_point[p_id]]
+            if engine.vectorized
+            else every
         )
-        for q_id in pool:
+        for q_id, q in pool:
             if q_id == p_id:
                 continue
-            condition = _condition_from(
-                rows[q_id], p, numeric_dims, nominal_dims
-            )
+            condition = _condition_from(q, p, numeric_dims, nominal_dims)
             if condition is not None:
                 conditions.append(condition)
         out[p_id] = minimal_conditions(conditions)

@@ -15,13 +15,17 @@ structures the paper proposes (IPO-tree, Adaptive SFS, MDC filter), a
 
 Queries are read-only on every index, so any number of driver threads
 may call :meth:`query` concurrently; the cache and the route counters
-are lock-protected.  Row churn enters through :meth:`insert_rows` /
-:meth:`delete_rows`: the service then shifts into *mutable mode* - the
-dataset is wrapped in a :class:`~repro.updates.dataset.DynamicDataset`,
-the template skyline is kept current by one
-:class:`~repro.updates.incremental.IncrementalSkyline` maintainer
-(Adaptive SFS is a score-ordered view over it), and
-a writer-preferring read-write lock keeps queries concurrent with each
+are lock-protected.  Every index derives from two maintained skylines
+over a :class:`~repro.updates.dataset.DynamicDataset` wrapping the
+rows: ``SKY(R~)`` and ``SKY(R0)``, each kept by one
+:class:`~repro.updates.incremental.IncrementalSkyline`.  Adaptive SFS is
+a score-ordered view over the first; the IPO-tree and the MDC filter
+are built from one condition store computed from both.  One method
+(``_install``) builds that state: at construction when any index is
+on (a service with every index off builds it on its first write), on
+recovery from the persisted member ids, and at compaction.  Row churn
+enters through :meth:`insert_rows` / :meth:`delete_rows`, and a
+writer-preferring read-write lock keeps queries concurrent with each
 other while updates run exclusively.  Semantic-cache entries are
 *revised* per update under a data version counter: inserts patch every
 cached skyline in place (exact - a new point can only evict what it
@@ -92,8 +96,8 @@ class _RestoreState:
     ``dynamic`` is the dataset at the *snapshot* version; ``tail`` the
     committed WAL records to replay on top of it (in order).  The
     maintained skyline id lists let the restore path skip the
-    expensive from-scratch computations; ``None`` for either means
-    "recompute" (e.g. a snapshot taken before the service ever mutated
+    from-scratch computations; ``None`` for either means "recompute"
+    (a snapshot of an index-off service taken before its first write
     has no maintainers yet).  ``store`` is
     ``None`` for a storage-less restore (a replication follower
     rebuilding from a shipped snapshot document): the service then
@@ -318,7 +322,8 @@ class SkylineService:
         self._recoveries = 0
         self._checkpoint_failures = 0
         self._ipo_k = ipo_k
-        # Mutable-mode state: lazily engaged by the first insert/delete.
+        # The maintained state (see _install): built at construction
+        # when any index is on, else by the first insert/delete.
         self._rw = ReadWriteLock()
         self._dynamic: Optional[DynamicDataset] = None
         self._maintainer: Optional[IncrementalSkyline] = None
@@ -346,46 +351,29 @@ class SkylineService:
             # can race to build it.
             dataset.columns
 
+        self.tree: Optional[IPOTree] = None
+        self.adaptive: Optional[AdaptiveSFS] = None
+        self.mdc: Optional[MDCFilter] = None
+        self._template_skyline_size = 0
+        with_tree = self._should_build_tree(with_tree, ipo_k, max_tree_nodes)
         if _restore is not None:
-            self._install_recovered(
-                _restore,
-                with_tree=bool(with_tree),
+            self._gate_updates = _restore.gate_updates
+            self._gate_queries = _restore.gate_queries
+            self._install(
+                _restore.dynamic,
+                template_skyline=_restore.template_skyline,
+                base_skyline=_restore.base_skyline,
+                with_tree=with_tree,
                 with_mdc=with_mdc,
                 with_adaptive=with_adaptive,
             )
-        else:
-            self.tree: Optional[IPOTree] = None
-            if self._should_build_tree(with_tree, ipo_k, max_tree_nodes):
-                self.tree = IPOTree.build(
-                    dataset,
-                    self.template,
-                    values_per_attribute=ipo_k,
-                    backend=self.backend,
-                )
-            self.adaptive: Optional[AdaptiveSFS] = (
-                AdaptiveSFS(dataset, self.template, backend=self.backend)
-                if with_adaptive
-                else None
+        elif with_tree or with_mdc or with_adaptive:
+            self._install(
+                DynamicDataset.from_dataset(dataset),
+                with_tree=with_tree,
+                with_mdc=with_mdc,
+                with_adaptive=with_adaptive,
             )
-            # The filter shares the conditions the tree was built with.
-            self.mdc: Optional[MDCFilter] = (
-                MDCFilter(
-                    dataset,
-                    self.template,
-                    backend=self.backend,
-                    conditions=(
-                        self.tree.conditions if self.tree is not None else None
-                    ),
-                )
-                if with_mdc
-                else None
-            )
-            for structure in (self.adaptive, self.tree, self.mdc):
-                if structure is not None:
-                    self._template_skyline_size = len(structure.skyline_ids)
-                    break
-            else:
-                self._template_skyline_size = 0
 
         # Durability: attach the store last so the initial snapshot (or
         # the WAL-tail replay of a recovery) sees fully built structures.
@@ -436,7 +424,7 @@ class SkylineService:
         investigation) and no plan signals are gathered (they would
         touch the structures the force bypasses) - but the fresh answer
         is still stored for subsequent planned queries, *unless* the
-        forced structure is currently marked stale (mutable mode):
+        forced structure is currently marked stale (after churn):
         that answer may be outdated yet carries the current data
         version, so storing it would poison the revised cache.
         ``use_cache=False`` skips both lookup and store (counted as a
@@ -771,7 +759,7 @@ class SkylineService:
         """
         with self._rw.write():
             self._check_storage_writable_locked()
-            if self._dynamic is None:
+            if self._data_version() == 0:
                 return {}
             dyn = self._dynamic
             if dyn.deleted_fraction == 0.0:
@@ -785,18 +773,12 @@ class SkylineService:
                 "version": dyn.version + 1,
             })
             remap = dyn.compact()
-            self._maintainer = IncrementalSkyline(
-                dyn, None, template=self.template, backend=self.backend
+            self._install(
+                dyn,
+                with_tree=self.tree is not None,
+                with_mdc=self.mdc is not None,
+                with_adaptive=self.adaptive is not None,
             )
-            self._base_maintainer = IncrementalSkyline(
-                dyn, None, backend=self.backend
-            )
-            if self.adaptive is not None:
-                self.adaptive = AdaptiveSFS.over(
-                    self._maintainer, self.template
-                )
-            self._rebuild_indexes_locked()
-            self._template_skyline_size = len(self._maintainer)
             self.cache.revise(lambda key, ids: None)  # ids were remapped
             self._reset_gate()
             self._maybe_checkpoint_locked()
@@ -887,11 +869,11 @@ class SkylineService:
         """
         dyn = restore_dataset(document["data"])
         # The service-facing dataset covers the *full slot space* so
-        # slot positions coincide with dynamic ids; in mutable mode all
-        # query paths select live ids through the dynamic dataset, so
-        # tombstoned slots are never served.  The dataset *shares* the
-        # restored storage - for an mmap'd snapshot that means zero
-        # rows are copied or decoded here.
+        # slot positions coincide with dynamic ids; a recovered service
+        # always has a dynamic dataset, and every query path selects
+        # live ids through it, so tombstoned slots are never served.
+        # The dataset *shares* the restored storage - for an mmap'd
+        # snapshot that means zero rows are copied or decoded here.
         base = dyn.base_dataset()
         template = preference_from_dict(document.get("template", {}))
         restore = _RestoreState(
@@ -1097,8 +1079,9 @@ class SkylineService:
         """
         dyn = self._dynamic
         if dyn is None:
-            # Pre-mutation: serialise through the one authoritative
-            # shape (version 0, no tombstones, no maintainers yet).
+            # An index-off service before its first write: serialise
+            # through the one authoritative shape (version 0, no
+            # tombstones, no maintainers yet).
             data = dataset_state(DynamicDataset.from_dataset(self.dataset))
             maintained = base_sky = None
         else:
@@ -1122,44 +1105,46 @@ class SkylineService:
             "with_mdc": self.mdc is not None,
         }
 
-    def _install_recovered(
+    def _install(
         self,
-        restore: _RestoreState,
+        dyn: DynamicDataset,
         *,
+        template_skyline: Optional[Sequence[int]] = None,
+        base_skyline: Optional[Sequence[int]] = None,
         with_tree: bool,
         with_mdc: bool,
         with_adaptive: bool,
     ) -> None:
-        """Constructor tail for the recovery path (single-threaded).
+        """Build the maintained state over ``dyn``: the one build path.
 
-        The service enters mutable mode directly: the restored dynamic
-        dataset carries the snapshot's version/tombstones/compaction
-        epoch, the maintainers re-attach from their persisted id lists
-        (skipping the O(n) initial computation), Adaptive SFS becomes a
-        view over the template maintainer, the IPO-tree and the MDC
-        filter are regrown fresh from the maintained skylines, and the
-        churn gate resumes its persisted window.
+        Taken at construction (when any index is on), on recovery, at
+        compaction and on the first write of a service with every index
+        off.  The template and base maintainers come first, re-attached
+        from persisted member ids when given, otherwise computed (the
+        base skyline group by group, see
+        :mod:`repro.updates.incremental`); Adaptive SFS is then a view
+        over the template maintainer, and both indexes are built from
+        one condition store (:meth:`_rebuild_indexes_locked`; a tree the
+        service already holds is regrown over its materialised values).
+        Callers hold the write lock (or are the single-threaded
+        constructor).
         """
-        dyn = restore.dynamic
         self._dynamic = dyn
-        self._gate_updates = restore.gate_updates
-        self._gate_queries = restore.gate_queries
         self._maintainer = IncrementalSkyline(
             dyn,
             None,
             template=self.template,
             backend=self.backend,
-            members=restore.template_skyline,
+            members=template_skyline,
         )
         self._base_maintainer = IncrementalSkyline(
-            dyn, None, backend=self.backend, members=restore.base_skyline
+            dyn, None, backend=self.backend, members=base_skyline
         )
         self.adaptive = (
             AdaptiveSFS.over(self._maintainer, self.template)
             if with_adaptive
             else None
         )
-        self.tree = self.mdc = None
         self._rebuild_indexes_locked(with_tree=with_tree, with_mdc=with_mdc)
         self._template_skyline_size = len(self._maintainer)
 
@@ -1173,8 +1158,8 @@ class SkylineService:
         as its candidate dominators, so no rebuild scans the base data;
         the tree regrows from it (:meth:`IPOTree.refresh`) and the
         filter wraps it.  ``with_tree`` / ``with_mdc`` build a structure
-        the service does not hold yet (recovery).  Callers hold the
-        write lock (or are the single-threaded constructor).
+        the service does not hold yet (:meth:`_install`).  Callers hold
+        the write lock (or are the single-threaded constructor).
         """
         self._indexes_stale = False
         with_tree = with_tree or self.tree is not None
@@ -1334,7 +1319,7 @@ class SkylineService:
         construction dataset itself.
         """
         with self._rw.read():
-            if self._dynamic is None:
+            if self._data_version() == 0:
                 return self.dataset
             return self._dynamic.snapshot()
 
@@ -1370,28 +1355,18 @@ class SkylineService:
         )
 
     def _ensure_dynamic(self) -> DynamicDataset:
-        """Enter mutable mode (idempotent); write lock must be held.
+        """The maintained dataset; write lock must be held.
 
-        With Adaptive SFS built, the template maintainer is seeded from
-        the view's member ids (no fresh template-skyline computation)
-        and the view follows it from here on.
+        Only a service with every index off reaches a write without
+        one: its first write installs the maintainers here.
         """
         if self._dynamic is None:
-            self._dynamic = DynamicDataset.from_dataset(self.dataset)
-            self._maintainer = IncrementalSkyline(
-                self._dynamic, None,
-                template=self.template, backend=self.backend,
-                members=(
-                    self.adaptive.skyline_ids
-                    if self.adaptive is not None
-                    else None
-                ),
+            self._install(
+                DynamicDataset.from_dataset(self.dataset),
+                with_tree=False,
+                with_mdc=False,
+                with_adaptive=False,
             )
-            self._base_maintainer = IncrementalSkyline(
-                self._dynamic, None, backend=self.backend
-            )
-            if self.adaptive is not None:
-                self.adaptive.follow(self._maintainer)
         return self._dynamic
 
     def _absorb(
@@ -1578,8 +1553,8 @@ class SkylineService:
     ) -> Tuple[int, ...]:
         """Run one route; every route returns the same sorted id tuple.
 
-        In mutable mode the scan routes run over the dynamic dataset's
-        live ids, and ``"adaptive"`` answers from its view of the
+        With a maintained dataset the scan routes run over its live
+        ids, and ``"adaptive"`` answers from its view of the
         maintained template skyline (exact for any template refinement
         by Theorem 1).  The planner never routes to a stale structure;
         a *forced* stale route answers from the stale structure by design (the

@@ -80,6 +80,10 @@ class DynamicDataset:
         #: operation that materializes and drops the reference (the
         #: file handle stays with whoever opened the store).
         self._base_store: Optional[ColumnStore] = None
+        #: The dataset :meth:`from_dataset` wrapped: its columnar store
+        #: serves every version until the first append (tombstones do
+        #: not change the slot matrix); :meth:`compact` drops it.
+        self._origin: Optional[Dataset] = None
         if rows:
             self.append(rows)
             self._version = 0  # seeding is not a mutation
@@ -91,13 +95,15 @@ class DynamicDataset:
         A store-backed dataset stays borrowed: this wrapper chains a
         private overlay tail over the same immutable base instead of
         materializing n rows (appends/deletes only ever touch the
-        overlay and the liveness flags).
+        overlay and the liveness flags), and until the first append the
+        columnar view is the dataset's own.
         """
         out = cls(dataset.schema)
         out._raw = growable_rows(dataset.raw_rows)
         out._canon = growable_rows(dataset.canonical_rows)
         out._alive = [True] * len(out._raw)
         out._base_store = dataset.store
+        out._origin = dataset
         return out
 
     @classmethod
@@ -269,7 +275,10 @@ class DynamicDataset:
             if cached is not None and cached[0] == key:
                 return cached[1]
             base = self._base_store
-            if (
+            origin = self._origin
+            if origin is not None and len(self._canon) == len(origin):
+                store = origin.columns
+            elif (
                 base is not None
                 and base.matrix is not None
                 and len(self._canon) == len(base)
@@ -390,6 +399,7 @@ class DynamicDataset:
         self._dead = 0
         self._compactions += 1
         self._base_store = None
+        self._origin = None
         self._column_builder = None
         self._bump()
         return remap

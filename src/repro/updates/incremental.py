@@ -44,12 +44,16 @@ batch's context, and an appended batch grows it by its own rows
 (``backend.extend``); only a compaction costs a fresh
 ``backend.prepare``.  A maintainer whose table lists no nominal value
 keys its live rows and its members by nominal tuple and runs the same
-steps over the row's group alone.  A step that touches at most
+steps over the row's group alone; it computes its initial skyline the
+same way, as the union of the per-group skylines, building the group
+index in that pass (:func:`base_skyline` is this build for ``R0``, the
+library's one builder of ``SKY(R0)``).  A step that touches at most
 :data:`PYTHON_GROUP_ROWS` rows (the group's members for an insert, its
 rows for a delete) runs on the python reference kernels, whose prepare
 is free; a larger one runs on the configured backend's cached context,
 restricted to the group's ids (a schema without nominal dimensions
-has one group of every row, and small domains give large groups).
+has one group of every row, and small domains give large groups); the
+initial build picks per group by the group's size.
 Dominance semantics are the paper's: on nominal dimensions two
 distinct *unlisted* values share the default rank but are
 **incomparable**.
@@ -112,6 +116,20 @@ def admit(
     return [m for m, hit in zip(members, mask) if hit]
 
 
+def base_skyline(data, *, backend=None) -> Tuple[int, ...]:
+    """``SKY(R0)`` of ``data``'s live rows, ascending.
+
+    The one builder of the base skyline (the order listing no nominal
+    value): a base :class:`IncrementalSkyline` computes it group by
+    group.  ``data`` is a :class:`DynamicDataset` or a
+    :class:`~repro.core.dataset.Dataset`, which is wrapped without
+    re-encoding a row.
+    """
+    if not isinstance(data, DynamicDataset):
+        data = DynamicDataset.from_dataset(data)
+    return IncrementalSkyline(data, backend=backend).ids
+
+
 class IncrementalSkyline:
     """Maintain one preference's skyline over a :class:`DynamicDataset`.
 
@@ -150,19 +168,17 @@ class IncrementalSkyline:
         )
         self._python = get_backend("python")
         #: ``(group, members)`` id sets per nominal tuple (grouped
-        #: maintainers only), built on the first update that needs it.
+        #: maintainers only), built with the members.
         self._groups: Optional[Dict[tuple, Tuple[Set[int], Set[int]]]] = None
         self._ctx = None
         self._ctx_key: Optional[Tuple[int, int]] = None
         # ``members`` is the trusted-restore path: a caller re-attaching
         # a maintainer to state it previously exported (the durability
         # layer restoring a checkpoint) passes the persisted member ids
-        # and skips the O(n) initial skyline computation.  The ids are
-        # taken as-is; the kill-and-recover differential tests verify
-        # they equal a fresh rebuild.
-        self._members: Set[int] = (
-            set(members) if members is not None else self._compute()
-        )
+        # and skips the initial skyline computation.  The ids are taken
+        # as-is; the kill-and-recover differential tests verify they
+        # equal a fresh rebuild.
+        self._members: Set[int] = self._build(members)
         self._ids_cache: Optional[Tuple[int, ...]] = None
         self._compactions = data.compactions
 
@@ -268,25 +284,65 @@ class IncrementalSkyline:
         Serves two roles: the verification oracle of the metamorphic
         tests, and the one legitimate way to re-attach a maintainer
         after :meth:`DynamicDataset.compact` reassigned the id space
-        (the group index is discarded alongside the members).
+        (the group index is rebuilt alongside the members).
         """
-        self._groups = None
-        self._members = self._compute()
+        self._members = self._build(None)
         self._ids_cache = None
         self._compactions = self.data.compactions
         return self.ids
 
     # -- internals ---------------------------------------------------------
-    def _compute(self) -> Set[int]:
-        """The skyline of the live rows, from scratch on the backend."""
+    def _build(self, members: Optional[Iterable[int]]) -> Set[int]:
+        """The member set: ``members`` as given, else computed afresh.
+
+        A grouped maintainer (re)builds its group index in the same
+        pass, over the live rows plus the given members, and computes
+        ``SKY`` as the union of the per-group skylines (the group lemma
+        in the module docstring), each on the kernels :meth:`_kernels`
+        picks for the group's size.  Any other maintainer runs one
+        skyline over every live row on the backend.
+        """
         data = self.data
-        return set(
-            sfs_skyline(
-                data.canonical_rows, data.ids, self.table,
-                backend=self.backend,
-                store=data.columns if self.backend.vectorized else None,
+        if not self._grouped:
+            if members is not None:
+                return set(members)
+            return set(
+                sfs_skyline(
+                    data.canonical_rows, data.ids, self.table,
+                    backend=self.backend,
+                    store=data.columns if self.backend.vectorized else None,
+                )
             )
-        )
+        given = set(members) if members is not None else set()
+        points = sorted(given.union(data.ids)) if given else data.ids
+        # The nominal values are read from the rows' float block when
+        # they expose one (a store-backed base), so no row tuple is
+        # materialized.
+        rows = data.canonical_rows
+        nominal = self._nominal
+        block_of = getattr(rows, "matrix_block", None)
+        block = block_of(0, len(rows)) if block_of is not None else None
+        if block is None:
+            keys = [tuple(rows[i][d] for d in nominal) for i in points]
+        else:
+            keys = block[list(points)][:, list(nominal)].astype(int).tolist()
+        groups: Dict[tuple, Tuple[Set[int], Set[int]]] = {}
+        for point, key in zip(points, keys):
+            group = groups.get(tuple(key))
+            if group is None:
+                group = groups[tuple(key)] = (set(), set())
+            group[0].add(point)
+            if point in given:
+                group[1].add(point)
+        self._groups = groups
+        if members is not None:
+            return given
+        found: Set[int] = set()
+        for group, group_members in groups.values():
+            engine, ctx = self._kernels(len(group))
+            group_members.update(engine.skyline(ctx, list(group)))
+            found.update(group_members)
+        return found
 
     def _context(self):
         """The backend's context over every slot, one per slot count:
@@ -321,33 +377,11 @@ class IncrementalSkyline:
         ``group`` holds the live ids plus the ones tombstoned since the
         maintainer last absorbed a delete of them (a member tombstoned
         in the current batch still screens until its own delete is
-        absorbed).  The index is built once, over the live rows plus
-        the members; the nominal values are read from the rows' float
-        block when they expose one (a store-backed base), so no row
-        tuple is materialized.
+        absorbed).
         """
-        rows = self.data.canonical_rows
-        nominal = self._nominal
-        if self._groups is None:
-            live = sorted(self._members.union(self.data.ids))
-            block_of = getattr(rows, "matrix_block", None)
-            block = block_of(0, len(rows)) if block_of is not None else None
-            if block is None:
-                keys = [tuple(rows[i][d] for d in nominal) for i in live]
-            else:
-                keys = block[live][:, list(nominal)].astype(int).tolist()
-            groups: Dict[tuple, Tuple[Set[int], Set[int]]] = {}
-            members = self._members
-            for point, key in zip(live, keys):
-                group = groups.get(tuple(key))
-                if group is None:
-                    group = groups[tuple(key)] = (set(), set())
-                group[0].add(point)
-                if point in members:
-                    group[1].add(point)
-            self._groups = groups
-        row = rows[point_id]
-        key = tuple(row[d] for d in nominal)
+        assert self._groups is not None
+        row = self.data.canonical_rows[point_id]
+        key = tuple(row[d] for d in self._nominal)
         group = self._groups.get(key)
         if group is None:
             group = self._groups[key] = (set(), set())

@@ -501,33 +501,60 @@ class TestServiceUpdates:
         assert "churn-heavy" in result.reason
         assert result.ids == self.oracle(service, template, prefs[1])
 
+    @staticmethod
+    def spy_scans(monkeypatch):
+        """Record every ``sfs_skyline`` call as ``(preference order, row
+        count)`` and every ``compute_mdcs`` call's ``candidates``."""
+        import sys
+
+        import repro.mdc.mdc as mdc_module
+        from repro.algorithms.sfs import sfs_skyline
+
+        scans, given = [], []
+
+        def scan(rows, ids, table, **kwargs):
+            ids = list(ids)
+            scans.append((table.preference.order, len(ids)))
+            return sfs_skyline(rows, ids, table, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.") and (
+                getattr(module, "sfs_skyline", None) is sfs_skyline
+            ):
+                monkeypatch.setattr(module, "sfs_skyline", scan)
+        real = mdc_module.compute_mdcs
+
+        def conditions(dataset, points, *, candidates=None, **kwargs):
+            given.append(candidates)
+            return real(dataset, points, candidates=candidates, **kwargs)
+
+        monkeypatch.setattr(mdc_module, "compute_mdcs", conditions)
+        return scans, given
+
     def test_one_template_skyline_maintainer(self, monkeypatch):
-        """Mutations reach Adaptive SFS only through the maintainer's
-        effects, and the first one recomputes no template skyline."""
-        import repro.updates.incremental as incremental
+        """Construction computes SKY(R0) group by group and every
+        condition store against it; mutations reach Adaptive SFS only
+        through the maintainer's effects and run no full scan."""
         from repro.adaptive.adaptive_sfs import AdaptiveSFS
 
-        base, template, service, prefs = self.make_service()
+        scans, candidates = self.spy_scans(monkeypatch)
+        base, template, service, prefs = self.make_service(with_tree=True)
+        # The template maintainer's one scan is the only all-row scan.
+        assert template.order > 0
+        assert scans == [(template.order, len(base))]
+        assert candidates and all(c is not None for c in candidates)
 
         def refuse(*_args, **_kwargs):
             raise AssertionError("the service maintains SKY(R~) once")
 
         monkeypatch.setattr(AdaptiveSFS, "insert", refuse)
         monkeypatch.setattr(AdaptiveSFS, "delete", refuse)
-        full_scans = []
-        real = incremental.sfs_skyline
-
-        def spy(rows, ids, table, **kwargs):
-            if len(ids) == len(base):
-                full_scans.append(table.preference.order)
-            return real(rows, ids, table, **kwargs)
-
-        monkeypatch.setattr(incremental, "sfs_skyline", spy)
+        del scans[:], candidates[:]
         member = service.adaptive.skyline_ids[0]
         service.delete_rows([member])
         service.insert_rows([base.row(member)])
-        # Only the template-free base maintainer started from scratch.
-        assert template.order > 0 and full_scans == [0]
+        assert all(rows < len(base) - 1 for _order, rows in scans)
+        assert all(c is not None for c in candidates)
         for pref in prefs:
             got = service.query(pref, use_cache=False, route="adaptive")
             assert got.ids == self.oracle(service, template, pref)
@@ -559,13 +586,21 @@ class TestServiceUpdates:
             assert got.ids == self.oracle(service, template, prefs[0]), route
 
     def test_static_service_unchanged(self):
-        _base, _template, service, prefs = self.make_service()
+        base, _template, service, prefs = self.make_service()
         result = service.query(prefs[0])
         assert result.version == 0
         assert service.version == 0
-        # No mutation, so no mutable-mode state was built.
-        assert service._dynamic is None and service._maintainer is None
+        assert service.data_snapshot() is base
         assert service.compact() == {}
+        assert service.version == 0
+        # With every index off nothing is maintained before a write.
+        bare_base, _template, bare, _prefs = self.make_service(
+            with_tree=False, with_mdc=False, with_adaptive=False
+        )
+        assert bare._dynamic is None and bare._maintainer is None
+        assert bare.compact() == {} and bare.data_snapshot() is bare_base
+        bare.insert_rows([base.row(0)])
+        assert bare._maintainer is not None and bare.version == 1
 
 
 class TestReviewRegressions:

@@ -268,3 +268,56 @@ class TestGroupedBaseSkyline:
                         effect.entered
                     ) == set(sky.ids)
                 assert sky.ids == oracle(), (kind, payload)
+
+
+@st.composite
+def tombstoned(draw, schema):
+    """Rows plus the positions to tombstone before any build."""
+    base = draw(st.lists(_rows_of(schema), max_size=30))
+    dead = draw(st.sets(st.integers(0, max(0, len(base) - 1))))
+    return base, sorted(i for i in dead if i < len(base))
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("schema_name", sorted(GROUP_SCHEMAS))
+@pytest.mark.parametrize("python_rows", ["default", 0])
+class TestBaseSkylineBuild:
+    """``base_skyline`` builds ``SKY(R0)`` group by group; over the live
+    rows of a dataset with tombstoned slots it must equal one
+    ``sfs_skyline`` over every live row and a bruteforce skyline, and
+    a plain :class:`Dataset` must give the same ids as its dynamic
+    wrapper.  ``python_rows=0`` sends every group to the configured
+    backend's context instead of the python kernels."""
+
+    @SETTINGS
+    @given(data_=st.data())
+    def test_build_matches_sfs_and_bruteforce(
+        self, backend, schema_name, python_rows, data_
+    ):
+        from repro.algorithms.sfs import sfs_skyline
+
+        limit = (
+            incremental.PYTHON_GROUP_ROWS if python_rows == "default"
+            else python_rows
+        )
+        schema = GROUP_SCHEMAS[schema_name]
+        base, dead = data_.draw(tombstoned(schema))
+        data = DynamicDataset(schema, base)
+        if dead:
+            data.delete(dead)
+        table = RankTable.compile(schema)
+        with mock.patch.object(incremental, "PYTHON_GROUP_ROWS", limit):
+            built = incremental.base_skyline(data, backend=backend)
+            whole = incremental.base_skyline(
+                Dataset(schema, base), backend=backend
+            )
+        rows = data.canonical_rows
+        assert built == tuple(sorted(
+            sfs_skyline(rows, data.ids, table, backend=backend)
+        ))
+        assert built == tuple(sorted(
+            bruteforce_skyline(rows, data.ids, table, backend="python")
+        ))
+        assert whole == tuple(sorted(bruteforce_skyline(
+            rows, range(len(base)), table, backend="python"
+        )))
