@@ -2,10 +2,10 @@
 
 Every skyline algorithm in this library bottoms out in a handful of
 primitive operations over canonically encoded rows: scoring, score
-sorting, pairwise dominance tests, batched dominance masks and the full
-four-way comparison.  A :class:`Backend` bundles one implementation of
-those primitives; the registry makes implementations swappable without
-touching any algorithm.
+sorting, pairwise dominance tests and batched dominance masks.  A
+:class:`Backend` bundles one implementation of those primitives; the
+registry makes implementations swappable without touching any
+algorithm.
 
 Two backends ship with the library:
 
@@ -88,10 +88,6 @@ class Backend(ABC):
 
     # -- scoring ----------------------------------------------------------
     @abstractmethod
-    def scores(self, ctx, ids: Sequence[int]) -> List[float]:
-        """The monotone preference score ``f`` of each point."""
-
-    @abstractmethod
     def score_rows(self, table, rows: Sequence[tuple]) -> List[float]:
         """Scores of loose canonical rows (no context needed).
 
@@ -117,12 +113,6 @@ class Backend(ABC):
         """``mask[k]`` iff point ``p`` dominates ``block[k]``."""
 
     @abstractmethod
-    def dominated_mask(
-        self, ctx, p: int, block: Sequence[int]
-    ) -> List[bool]:
-        """``mask[k]`` iff ``block[k]`` dominates point ``p``."""
-
-    @abstractmethod
     def any_dominates(self, ctx, p: int, block: Sequence[int]) -> bool:
         """True iff some point of ``block`` dominates ``p``."""
 
@@ -134,14 +124,6 @@ class Backend(ABC):
 
         Self-pairs are harmless (nothing dominates itself), so callers
         may pass overlapping id sets.
-        """
-
-    @abstractmethod
-    def compare_many(self, ctx, p: int, block: Sequence[int]) -> List:
-        """Four-way verdicts of ``p`` against each block point.
-
-        Entries are the :mod:`repro.core.dominance` constants
-        ``DOMINATES`` / ``DOMINATED`` / ``EQUAL`` / ``INCOMPARABLE``.
         """
 
     # -- composite kernels -------------------------------------------------

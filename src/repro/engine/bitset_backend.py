@@ -561,10 +561,6 @@ class BitsetBackend(Backend):
         )
 
     # -- delegating primitive kernels --------------------------------------
-    def scores(self, ctx, ids: Sequence[int]) -> List[float]:
-        """Delegates to the packed tier's base backend."""
-        return self._inner.scores(ctx, ids)
-
     def score_rows(self, table, rows: Sequence[tuple]) -> List[float]:
         """Delegates to the packed tier's base backend."""
         return self._inner.score_rows(table, rows)
@@ -577,17 +573,9 @@ class BitsetBackend(Backend):
         """Delegates to the packed tier's base backend."""
         return self._inner.dominates_mask(ctx, p, block)
 
-    def dominated_mask(self, ctx, p: int, block: Sequence[int]) -> List[bool]:
-        """Delegates to the packed tier's base backend."""
-        return self._inner.dominated_mask(ctx, p, block)
-
     def any_dominates(self, ctx, p: int, block: Sequence[int]) -> bool:
         """Delegates to the packed tier's base backend."""
         return self._inner.any_dominates(ctx, p, block)
-
-    def compare_many(self, ctx, p: int, block: Sequence[int]) -> List:
-        """Delegates to the packed tier's base backend."""
-        return self._inner.compare_many(ctx, p, block)
 
     def dim_ranks(self, ctx, ids: Sequence[int], dim: int) -> List[float]:
         """Delegates to the packed tier's base backend."""

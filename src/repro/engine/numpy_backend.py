@@ -427,10 +427,6 @@ class NumpyBackend(Backend):
         )
 
     # -- scoring ----------------------------------------------------------
-    def scores(self, ctx, ids: Sequence[int]) -> List[float]:
-        idx = self._ids_array(ctx, ids)
-        return ctx.scores[idx].tolist()
-
     def score_rows(self, table, rows: Sequence[tuple]) -> List[float]:
         return self.prepare(rows, table).scores.tolist()
 
@@ -452,18 +448,6 @@ class NumpyBackend(Backend):
             self._cols(ctx, idx),
         )
         return dom[0].tolist()
-
-    def dominated_mask(self, ctx, p: int, block: Sequence[int]) -> List[bool]:
-        idx = self._ids_array(ctx, block)
-        if idx.size == 0:
-            return []
-        dom = _dominates_matrix(
-            ctx.np,
-            ctx.nominal,
-            self._cols(ctx, idx),
-            self._cols(ctx, slice(p, p + 1)),
-        )
-        return dom[:, 0].tolist()
 
     def any_dominates(self, ctx, p: int, block: Sequence[int]) -> bool:
         idx = self._ids_array(ctx, block)
@@ -491,42 +475,6 @@ class NumpyBackend(Backend):
             self._cols(ctx, t_idx),
         )
         return dead.tolist()
-
-    def compare_many(self, ctx, p: int, block: Sequence[int]) -> List:
-        from repro.core.dominance import (
-            DOMINATED,
-            DOMINATES,
-            EQUAL,
-            INCOMPARABLE,
-        )
-
-        idx = self._ids_array(ctx, block)
-        if idx.size == 0:
-            return []
-        p_ranks = ctx.ranks_t[:, p : p + 1]
-        p_values = ctx.values_t[:, p : p + 1]
-        q_ranks = ctx.ranks_t[:, idx]
-        q_values = ctx.values_t[:, idx]
-        p_lt = p_ranks < q_ranks
-        q_lt = q_ranks < p_ranks
-        same = p_values == q_values
-        p_better = p_lt.any(axis=0)
-        q_better = q_lt.any(axis=0)
-        # A dimension where neither side is better and the values differ
-        # is the incomparable rank tie (distinct unlisted values).
-        tie_blocked = (~p_lt & ~q_lt & ~same).any(axis=0)
-        incomparable = tie_blocked | (p_better & q_better)
-        out = []
-        for k in range(idx.size):
-            if incomparable[k]:
-                out.append(INCOMPARABLE)
-            elif p_better[k]:
-                out.append(DOMINATES)
-            elif q_better[k]:
-                out.append(DOMINATED)
-            else:
-                out.append(EQUAL)
-        return out
 
     # -- composite kernels -------------------------------------------------
     def skyline(self, ctx, ids: Sequence[int]) -> List[int]:

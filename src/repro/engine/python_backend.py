@@ -35,11 +35,6 @@ class PythonBackend(Backend):
         return _PythonContext(rows, table)
 
     # -- scoring ----------------------------------------------------------
-    def scores(self, ctx, ids: Sequence[int]) -> List[float]:
-        score = ctx.table.score
-        rows = ctx.rows
-        return [score(rows[i]) for i in ids]
-
     def score_rows(self, table, rows: Sequence[tuple]) -> List[float]:
         score = table.score
         return [score(row) for row in rows]
@@ -62,12 +57,6 @@ class PythonBackend(Backend):
         row_p = rows[p]
         return [dominates(row_p, rows[q]) for q in block]
 
-    def dominated_mask(self, ctx, p: int, block: Sequence[int]) -> List[bool]:
-        dominates = ctx.table.dominates
-        rows = ctx.rows
-        row_p = rows[p]
-        return [dominates(rows[q], row_p) for q in block]
-
     def any_dominates(self, ctx, p: int, block: Sequence[int]) -> bool:
         dominates = ctx.table.dominates
         rows = ctx.rows
@@ -85,12 +74,6 @@ class PythonBackend(Backend):
             row_t = rows[t]
             out.append(any(dominates(q, row_t) for q in against_rows))
         return out
-
-    def compare_many(self, ctx, p: int, block: Sequence[int]) -> List:
-        compare = ctx.table.compare
-        rows = ctx.rows
-        row_p = rows[p]
-        return [compare(row_p, rows[q]) for q in block]
 
     # -- composite kernels -------------------------------------------------
     def skyline(self, ctx, ids: Sequence[int]) -> List[int]:

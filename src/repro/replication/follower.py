@@ -4,11 +4,14 @@ The follower's whole safety story is one rule: **verify, apply, then
 advance - or refuse and stand still.**  Each shipped frame is the
 CRC-prefixed WAL line the primary fsynced; before applying it the
 follower re-checks the CRC (a frame cut mid-record in transit fails
-here), checks that the frame's version stamp continues its replica's
-applied version exactly, applies it through the *same* mutation
-methods crash recovery replays, and checks the produced version
-against the stamp.  Only then does the stream offset advance - by the
-frame's byte length, so the next fetch resumes at a frame boundary.
+here), then hands the record to
+:meth:`~repro.serve.service.SkylineService.apply_record`, the one write
+path that live writes and crash recovery take too.  It refuses a frame
+whose version stamp does not continue the replica's version exactly,
+validates the batch before touching any state, applies it, and checks
+the produced version against the stamp.  Only then does the stream
+offset advance - by the frame's byte length, so the next fetch resumes
+at a frame boundary.
 Any failure leaves the offset untouched: a torn frame is simply
 re-fetched intact, a discontinuity forces a re-sync from a fresh
 snapshot, and in neither case can a half-applied or out-of-order
@@ -243,7 +246,6 @@ class Follower:
 
     def _apply_frame(self, text: object) -> None:
         """Verify one shipped frame, apply it, then advance the offset."""
-        service = self._service
         try:
             frame = text.encode("ascii")
         except (AttributeError, UnicodeEncodeError):
@@ -264,46 +266,14 @@ class Follower:
                 f"offset {self._offset}: {exc}; re-fetching from the last "
                 f"applied offset"
             ) from exc
-        stamped = record.get("version")
-        expected = service.version + 1
-        if stamped != expected:
-            self._state = "syncing"
-            raise ReplicationError(
-                f"stream discontinuity: frame stamped version {stamped!r}, "
-                f"replica expects {expected}; re-syncing from a fresh "
-                f"snapshot"
-            )
-        op = record.get("op")
         try:
-            if op == "insert":
-                produced = service.insert_rows(
-                    [tuple(row) for row in record["rows"]]
-                ).version
-            elif op == "delete":
-                produced = service.delete_rows(
-                    [int(point_id) for point_id in record["ids"]]
-                ).version
-            elif op == "compact":
-                service.compact()
-                produced = service.version
-            else:
-                raise ReplicationError(
-                    f"shipped frame has unknown op {op!r}; re-syncing"
-                )
-        except ReplicationError:
-            self._state = "syncing"
-            raise
+            self._service.apply_record(record)
         except (ReproError, KeyError, TypeError, ValueError) as exc:
             self._state = "syncing"
             raise ReplicationError(
-                f"shipped frame could not be applied: {exc}; re-syncing"
+                f"shipped frame could not be applied: {exc}; re-syncing "
+                f"from a fresh snapshot"
             ) from exc
-        if produced != stamped:
-            self._state = "syncing"
-            raise ReplicationError(
-                f"apply diverged: frame stamped version {stamped}, replica "
-                f"produced {produced}; re-syncing"
-            )
         with self._lock:
             self._offset += len(frame)
             self._frames_applied += 1

@@ -282,11 +282,6 @@ class RouteCounters:
         return dict(self.counts)
 
 
-def preference_order(preference: Optional[Preference]) -> int:
-    """``order(R~')`` of a possibly-None preference (signal helper)."""
-    return preference.order if preference is not None else 0
-
-
 def chains_covered(tree, preference: Optional[Preference]) -> bool:
     """Would ``tree`` answer ``preference`` without UnsupportedQueryError?
 

@@ -23,10 +23,20 @@ a score-ordered view over the first; the IPO-tree and the MDC filter
 are built from one condition store computed from both.  One method
 (``_install``) builds that state: at construction when any index is
 on (a service with every index off builds it on its first write), on
-recovery from the persisted member ids, and at compaction.  Row churn
-enters through :meth:`insert_rows` / :meth:`delete_rows`, and a
+recovery from the persisted member ids, and at compaction.
+
+Every write is one WAL record (``insert`` / ``delete`` / ``compact``,
+stamped with the next data version) and one method applies it,
+:meth:`SkylineService.apply_record`: :meth:`insert_rows`,
+:meth:`delete_rows` and :meth:`compact` build a record and take it,
+recovery replays its WAL tail through it, and a replication follower
+applies shipped frames through it.  It stages the batch (validated,
+no state touched), logs it when a store is attached, applies it, and
+lets the indexes catch up (rebuilt while below the churn gate).
+Recovery attaches neither its store nor any index until the tail is
+replayed, so it logs nothing twice and builds the indexes once.  A
 writer-preferring read-write lock keeps queries concurrent with each
-other while updates run exclusively.  Semantic-cache entries are
+other while writes run exclusively.  Semantic-cache entries are
 *revised* per update under a data version counter: inserts patch every
 cached skyline in place (exact - a new point can only evict what it
 dominates), deletes drop exactly the entries whose skyline contained a
@@ -44,7 +54,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro import faults
 from repro.adaptive.adaptive_sfs import AdaptiveSFS
@@ -76,7 +86,7 @@ from repro.storage.snapshot import (
 )
 from repro.storage.store import CheckpointPolicy, DurableStore
 from repro.updates.dataset import DynamicDataset
-from repro.updates.incremental import IncrementalSkyline, UpdateEffect, admit
+from repro.updates.incremental import IncrementalSkyline, admit
 from repro.updates.rwlock import ReadWriteLock
 from repro.serve.planner import (
     ROUTES,
@@ -101,7 +111,7 @@ class _RestoreState:
     has no maintainers yet).  ``store`` is
     ``None`` for a storage-less restore (a replication follower
     rebuilding from a shipped snapshot document): the service then
-    applies mutations without logging them.
+    applies records without logging them.
     """
 
     store: Optional[DurableStore]
@@ -109,7 +119,6 @@ class _RestoreState:
     template_skyline: Optional[Tuple[int, ...]]
     base_skyline: Optional[Tuple[int, ...]]
     tail: Tuple[dict, ...]
-    snapshot_version: int
     gate_updates: int
     gate_queries: int
 
@@ -325,6 +334,7 @@ class SkylineService:
         # The maintained state (see _install): built at construction
         # when any index is on, else by the first insert/delete.
         self._rw = ReadWriteLock()
+        self.storage: Optional[DurableStore] = None
         self._dynamic: Optional[DynamicDataset] = None
         self._maintainer: Optional[IncrementalSkyline] = None
         self._base_maintainer: Optional[IncrementalSkyline] = None
@@ -336,8 +346,8 @@ class SkylineService:
         self._gate_updates = 0
         self._gate_queries = 0
         # The IPO-tree and the MDC filter lag the data: set by a
-        # skyline-changing batch above the churn gate, cleared by
-        # _rebuild_indexes_locked.
+        # skyline-changing batch, cleared by _rebuild_indexes_locked
+        # (which _catch_up_locked runs below the churn gate).
         self._indexes_stale = False
         # Per-cached-key rank tables for the insert patcher, memoised
         # for the service lifetime: a table depends only on the
@@ -363,33 +373,35 @@ class SkylineService:
                 _restore.dynamic,
                 template_skyline=_restore.template_skyline,
                 base_skyline=_restore.base_skyline,
-                with_tree=with_tree,
-                with_mdc=with_mdc,
                 with_adaptive=with_adaptive,
             )
+            # The committed tail goes through the one write path before
+            # any store is attached (the records are durable already, so
+            # nothing is logged) and before any index exists (so no
+            # record rebuilds one).
+            for record in _restore.tail:
+                self.apply_record(record)
         elif with_tree or with_mdc or with_adaptive:
             self._install(
                 DynamicDataset.from_dataset(dataset),
-                with_tree=with_tree,
-                with_mdc=with_mdc,
                 with_adaptive=with_adaptive,
             )
+        if self._dynamic is not None:
+            self._rebuild_indexes_locked(
+                with_tree=with_tree, with_mdc=with_mdc
+            )
 
-        # Durability: attach the store last so the initial snapshot (or
-        # the WAL-tail replay of a recovery) sees fully built structures.
-        # A recovered service may *borrow* its base rows from an mmap'd
-        # snapshot sidecar; the service owns that file handle and
-        # releases it in close() (compaction may drop the dataset's use
-        # of the store earlier, but the handle stays ours to close).
+        # Durability: attach the store last so the initial snapshot sees
+        # fully built structures.  A recovered service may *borrow* its
+        # base rows from an mmap'd snapshot sidecar; the service owns
+        # that file handle and releases it in close() (compaction may
+        # drop the dataset's use of the store earlier, but the handle
+        # stays ours to close).
         self._borrowed_store = (
             _restore.dynamic.base_store if _restore is not None else None
         )
-        self.storage: Optional[DurableStore] = None
-        self._replaying = False
         if _restore is not None:
             self.storage = _restore.store
-            if _restore.tail:
-                self._replay_tail(_restore.tail)
         elif storage_dir is not None:
             store = DurableStore(
                 storage_dir,
@@ -652,52 +664,29 @@ class SkylineService:
     def insert_rows(self, rows: Sequence[Sequence[object]]) -> UpdateReport:
         """Insert rows; maintain every structure and the cache incrementally.
 
-        Under the exclusive write lock the batch is appended to the
-        dynamic dataset (validated all-or-nothing), absorbed by the
-        template-skyline and base-skyline maintainers (Adaptive SFS
-        applies the template maintainer's effects), and every
-        semantic-cache entry is *patched in place* - an
-        insert's effect on any cached skyline is exact and local (the
-        new point joins unless dominated and evicts exactly what it
-        dominates), so no entry is dropped.  When the batch changed the
-        base or template skyline, the IPO-tree and the MDC filter are
-        rebuilt while the workload stays below the churn gate
+        The batch becomes one ``insert`` record on :meth:`apply_record`'s
+        path: appended to the dynamic dataset (validated all-or-nothing),
+        absorbed by the template-skyline and base-skyline maintainers
+        (Adaptive SFS applies the template maintainer's effects), and
+        every semantic-cache entry is *patched in place* - an insert's
+        effect on any cached skyline is exact and local (the new point
+        joins unless dominated and evicts exactly what it dominates), so
+        no entry is dropped.  When the batch changed the base or
+        template skyline, the IPO-tree and the MDC filter are rebuilt
+        while the workload stays below the churn gate
         (``PlannerConfig.incremental_update_ratio``) and left stale
         above it (rebuilt by :meth:`refresh_structures` or
         :meth:`compact`).
-
-        Durability ordering is write-ahead: the batch is validated
-        (all-or-nothing, no state touched), *logged*, then applied - so
-        a failed log (:class:`StorageUnavailable`, degraded read-only
-        mode) leaves nothing applied and the same batch can simply be
-        retried once the store heals.
         """
-        started = time.perf_counter()
-        batch = [tuple(row) for row in rows]
+        batch = [list(row) for row in rows]
         if not batch:
-            return self._empty_report("insert", started)
+            return self._empty_report("insert")
         with self._rw.write():
-            self._check_storage_writable_locked()
-            dyn = self._ensure_dynamic()
-            new_raw, new_canon = dyn.encode_rows(batch)
-            self._log_mutation_locked({
+            return self._apply_locked({
                 "op": "insert",
-                "version": dyn.version + 1,
-                "rows": [list(row) for row in batch],
+                "version": self._data_version() + 1,
+                "rows": batch,
             })
-            ids = dyn.append_encoded(new_raw, new_canon)
-            effects = []
-            base_changed = False
-            for point_id in ids:
-                effects.append(self._maintainer.insert(point_id))
-                base_changed |= self._base_maintainer.insert(
-                    point_id
-                ).changed
-            report = self._absorb(
-                "insert", ids, effects, base_changed, started
-            )
-            self._maybe_checkpoint_locked()
-        return report
 
     def delete_rows(self, point_ids: Sequence[int]) -> UpdateReport:
         """Delete rows; maintain every structure and the cache incrementally.
@@ -707,34 +696,18 @@ class SkylineService:
         exclusive dominance region; semantic-cache entries are dropped
         *only* when their cached skyline actually contained a deleted
         row - a deleted non-member cannot change that entry's answer,
-        so everything else is retained as-is.
+        so everything else is retained as-is.  The batch is one
+        ``delete`` record on :meth:`apply_record`'s path.
         """
-        started = time.perf_counter()
         ids = [int(p) for p in point_ids]
         if not ids:
-            return self._empty_report("delete", started)
+            return self._empty_report("delete")
         with self._rw.write():
-            self._check_storage_writable_locked()
-            dyn = self._ensure_dynamic()
-            dyn.ensure_deletable(ids)
-            self._log_mutation_locked({
+            return self._apply_locked({
                 "op": "delete",
-                "version": dyn.version + 1,
-                "ids": list(ids),
+                "version": self._data_version() + 1,
+                "ids": ids,
             })
-            dyn.delete(ids)
-            effects = []
-            base_changed = False
-            for point_id in ids:
-                effects.append(self._maintainer.delete(point_id))
-                base_changed |= self._base_maintainer.delete(
-                    point_id
-                ).changed
-            report = self._absorb(
-                "delete", ids, effects, base_changed, started
-            )
-            self._maybe_checkpoint_locked()
-        return report
 
     def refresh_structures(self) -> None:
         """Bring any stale index structure back in sync (exclusive).
@@ -759,30 +732,39 @@ class SkylineService:
         """
         with self._rw.write():
             self._check_storage_writable_locked()
-            if self._data_version() == 0:
+            version = self._data_version()
+            if version == 0:
                 return {}
-            dyn = self._dynamic
-            if dyn.deleted_fraction == 0.0:
+            if self._dynamic.deleted_fraction == 0.0:
                 # No tombstones: the id space is unchanged, so the
                 # warm cache stays valid; still honour the re-alignment
                 # contract (refresh stale structures, reset the gate).
                 self._refresh_structures_locked()
-                return dyn.compact()  # identity remap, no version bump
-            self._log_mutation_locked({
-                "op": "compact",
-                "version": dyn.version + 1,
-            })
-            remap = dyn.compact()
-            self._install(
-                dyn,
-                with_tree=self.tree is not None,
-                with_mdc=self.mdc is not None,
-                with_adaptive=self.adaptive is not None,
+                return self._dynamic.compact()  # identity, no version bump
+            return self._apply_locked(
+                {"op": "compact", "version": version + 1}
             )
-            self.cache.revise(lambda key, ids: None)  # ids were remapped
-            self._reset_gate()
-            self._maybe_checkpoint_locked()
-            return remap
+
+    def apply_record(
+        self, record: dict
+    ) -> Union[UpdateReport, Dict[int, int]]:
+        """Apply one durable record through the service's write path.
+
+        ``record`` is a write-ahead-log record stamped with the next
+        data version: ``{"op": "insert", "version": v, "rows": [...]}``,
+        ``{"op": "delete", "version": v, "ids": [...]}`` or
+        ``{"op": "compact", "version": v}``.  Crash recovery replays its
+        committed WAL tail through here and a replication follower
+        applies every shipped frame through here; :meth:`insert_rows`,
+        :meth:`delete_rows` and :meth:`compact` build a record and take
+        the same path (:meth:`_apply_locked`).  Returns what those
+        methods return: an :class:`UpdateReport`, or the compaction's
+        ``{old id: new id}`` remap.  A record that does not continue the
+        data version, or fails validation, raises before any state
+        changes.
+        """
+        with self._rw.write():
+            return self._apply_locked(record)
 
     # ------------------------------------------------------------------
     # durability
@@ -811,12 +793,12 @@ class SkylineService:
         so cold start is O(WAL tail) and the matrix bytes are shared
         with every other process mapping the same snapshot.  The
         borrowed file handle is released by :meth:`close`.  It then
-        re-attaches the maintained template and
-        base skylines from their persisted id lists, regrows the
-        IPO-tree and the MDC filter from them, and replays the
-        committed WAL tail through the normal mutation path - so the
-        recovered service answers at the exact pre-crash data version
-        (the kill-and-recover differential test in
+        re-attaches the maintained template and base skylines from
+        their persisted id lists, replays the committed WAL tail through
+        :meth:`apply_record`, and only then builds the IPO-tree and the
+        MDC filter, from one condition store whatever the tail's length
+        - so the recovered service answers at the exact pre-crash data
+        version (the kill-and-recover differential test in
         ``tests/test_storage.py`` pins this against a from-scratch
         rebuild).
 
@@ -862,9 +844,9 @@ class SkylineService:
         ``store=None``: a replication follower rebuilds its replica
         from the snapshot document the primary ships
         (:meth:`replication_snapshot`) and then applies streamed WAL
-        records through the normal mutation path - without a local
-        store, mutations apply but are not logged (the primary already
-        made them durable).  With a ``store``, logging resumes onto its
+        records through :meth:`apply_record` - without a local store,
+        records apply but are not logged (the primary already made them
+        durable).  With a ``store``, logging resumes onto its
         active WAL exactly as after :meth:`recover`.
         """
         dyn = restore_dataset(document["data"])
@@ -882,7 +864,6 @@ class SkylineService:
             template_skyline=_as_id_tuple(document.get("template_skyline")),
             base_skyline=_as_id_tuple(document.get("base_skyline")),
             tail=tuple(tail),
-            snapshot_version=int(document["data"]["data_version"]),
             gate_updates=int(document.get("gate_updates", 0)),
             gate_queries=int(document.get("gate_queries", 0)),
         )
@@ -1111,21 +1092,19 @@ class SkylineService:
         *,
         template_skyline: Optional[Sequence[int]] = None,
         base_skyline: Optional[Sequence[int]] = None,
-        with_tree: bool,
-        with_mdc: bool,
         with_adaptive: bool,
     ) -> None:
         """Build the maintained state over ``dyn``: the one build path.
 
         Taken at construction (when any index is on), on recovery, at
         compaction and on the first write of a service with every index
-        off.  The template and base maintainers come first, re-attached
-        from persisted member ids when given, otherwise computed (the
-        base skyline group by group, see
-        :mod:`repro.updates.incremental`); Adaptive SFS is then a view
-        over the template maintainer, and both indexes are built from
-        one condition store (:meth:`_rebuild_indexes_locked`; a tree the
-        service already holds is regrown over its materialised values).
+        off.  The template and base maintainers are re-attached from
+        persisted member ids when given, otherwise computed (the base
+        skyline group by group, see :mod:`repro.updates.incremental`);
+        Adaptive SFS is a view over the template maintainer.  No index
+        is built here: the caller follows with
+        :meth:`_rebuild_indexes_locked` (recovery only after replaying
+        its WAL tail, so one condition store serves the whole tail).
         Callers hold the write lock (or are the single-threaded
         constructor).
         """
@@ -1145,7 +1124,6 @@ class SkylineService:
             if with_adaptive
             else None
         )
-        self._rebuild_indexes_locked(with_tree=with_tree, with_mdc=with_mdc)
         self._template_skyline_size = len(self._maintainer)
 
     def _rebuild_indexes_locked(
@@ -1158,8 +1136,9 @@ class SkylineService:
         as its candidate dominators, so no rebuild scans the base data;
         the tree regrows from it (:meth:`IPOTree.refresh`) and the
         filter wraps it.  ``with_tree`` / ``with_mdc`` build a structure
-        the service does not hold yet (:meth:`_install`).  Callers hold
-        the write lock (or are the single-threaded constructor).
+        the service does not hold yet (construction and recovery).
+        Callers hold the write lock (or are the single-threaded
+        constructor).
         """
         self._indexes_stale = False
         with_tree = with_tree or self.tree is not None
@@ -1188,49 +1167,96 @@ class SkylineService:
                 dyn, self.template, backend=self.backend, conditions=store
             )
 
-    def _replay_tail(self, tail: Sequence[dict]) -> None:
-        """Apply the committed WAL tail through the normal mutation path.
+    def _apply_locked(
+        self, record: dict
+    ) -> Union[UpdateReport, Dict[int, int]]:
+        """The one write path: stage, log, apply, catch up (write lock held).
 
-        Each record re-runs the same incremental maintenance it ran
-        before the crash (maintainers, the Adaptive SFS view, index
-        rebuilds, cache revision over the still-empty cache) with WAL
-        logging suppressed - the records are already durable;
-        re-appending them would duplicate history.  Every record's version stamp is
-        verified against the version the replay actually produced.
+        Durability ordering is write-ahead: the record is staged first
+        (validated all-or-nothing, no state touched), then *logged* when
+        a store is attached, then applied - so a failed log
+        (:class:`StorageUnavailable`, degraded read-only mode) leaves
+        nothing applied and the same batch can simply be retried once
+        the store heals.  Recovery replays before its store is attached
+        and a follower has none, so neither logs a record twice.  After
+        the apply step the indexes catch up (:meth:`_catch_up_locked`)
+        and the automatic checkpoint policy runs.
         """
-        self._replaying = True
-        try:
-            for index, record in enumerate(tail):
-                op = record.get("op")
-                if op == "insert":
-                    version = self.insert_rows(
-                        [tuple(row) for row in record["rows"]]
-                    ).version
-                elif op == "delete":
-                    version = self.delete_rows(
-                        [int(point_id) for point_id in record["ids"]]
-                    ).version
-                elif op == "compact":
-                    self.compact()
-                    version = self.version
-                else:
-                    raise StorageError(
-                        f"WAL record {index} has unknown op {op!r}"
-                    )
-                if version != record.get("version"):
-                    raise StorageError(
-                        f"WAL replay diverged at record {index}: produced "
-                        f"data version {version}, log recorded "
-                        f"{record.get('version')!r}"
-                    )
-        finally:
-            self._replaying = False
+        self._check_storage_writable_locked()
+        dyn = self._ensure_dynamic()
+        stamped = record.get("version")
+        if stamped != dyn.version + 1:
+            raise StorageError(
+                f"record discontinuity: stamped version {stamped!r}, "
+                f"data is at version {dyn.version}"
+            )
+        apply = self._stage(dyn, record)
+        self._log_mutation_locked(record)
+        result = apply()
+        if dyn.version != stamped:
+            raise StorageError(
+                f"record diverged: stamped version {stamped}, apply "
+                f"produced {dyn.version}"
+            )
+        self._catch_up_locked()
+        self._maybe_checkpoint_locked()
+        return result
+
+    def _stage(self, dyn: DynamicDataset, record: dict):
+        """Validate one record without touching state; its apply step.
+
+        The only place a record's op is decoded.
+        """
+        started = time.perf_counter()
+        op = record.get("op")
+        if op == "insert":
+            raw, canon = dyn.encode_rows(record["rows"])
+            return lambda: self._absorb(
+                "insert", dyn.append_encoded(raw, canon), started
+            )
+        if op == "delete":
+            ids = [int(point_id) for point_id in record["ids"]]
+            dyn.ensure_deletable(ids)
+
+            def delete() -> UpdateReport:
+                dyn.delete(ids)
+                return self._absorb("delete", ids, started)
+
+            return delete
+        if op == "compact":
+            return self._compact_locked
+        raise StorageError(f"record has unknown op {op!r}")
+
+    def _compact_locked(self) -> Dict[int, int]:
+        """Apply a compaction: new ids, so rebuild and clear the cache."""
+        dyn = self._dynamic
+        remap = dyn.compact()
+        self._install(dyn, with_adaptive=self.adaptive is not None)
+        self._rebuild_indexes_locked()
+        self.cache.revise(lambda key, ids: None)  # ids were remapped
+        self._reset_gate()
+        return remap
+
+    def _catch_up_locked(self) -> None:
+        """Rebuild stale indexes while below the churn gate (lock held).
+
+        Runs after every applied record.  Above the gate
+        (``PlannerConfig.incremental_update_ratio``) the indexes stay
+        stale until a later record lands in a lull, or
+        :meth:`refresh_structures` / :meth:`compact` rebuild them.
+        """
+        if (
+            self._indexes_stale
+            and self._update_ratio()
+            < self.planner.config.incremental_update_ratio
+        ):
+            self._rebuild_indexes_locked()
 
     def _log_mutation_locked(self, record: dict) -> None:
         """Durably log one *not yet applied* batch (write lock held).
 
         Called **before** the mutation is applied (write-ahead
-        ordering).  No-op without storage and during recovery replay.
+        ordering).  No-op without storage.
 
         If the append fails the service enters **degraded read-only
         mode** instead of fail-stopping the process: nothing was
@@ -1240,7 +1266,7 @@ class SkylineService:
         :meth:`checkpoint` rotates the WAL and re-arms writes; the
         rejected batch can then simply be retried.
         """
-        if self.storage is None or self._replaying:
+        if self.storage is None:
             return
         try:
             self.storage.log(record)
@@ -1261,9 +1287,7 @@ class SkylineService:
         WAL, so the mutation succeeded either way and the policy simply
         retries at the next batch.
         """
-        if self.storage is None or self._replaying:
-            return
-        if not self.storage.should_checkpoint():
+        if self.storage is None or not self.storage.should_checkpoint():
             return
         try:
             self.storage.checkpoint(
@@ -1299,11 +1323,7 @@ class SkylineService:
         either - logging is write-ahead).  Queries are unaffected;
         :meth:`checkpoint` heals the store and re-arms writes.
         """
-        if (
-            self.storage is not None
-            and not self._replaying
-            and self.storage.failed
-        ):
+        if self.storage is not None and self.storage.failed:
             self._enter_degraded_locked()
             raise StorageUnavailable(
                 "mutations are disabled: the service is in degraded "
@@ -1333,7 +1353,7 @@ class SkylineService:
         """Current data version; callers must hold the read or write lock."""
         return self._dynamic.version if self._dynamic is not None else 0
 
-    def _empty_report(self, kind: str, started: float) -> UpdateReport:
+    def _empty_report(self, kind: str) -> UpdateReport:
         """An empty mutation batch: no version bump, no cache revision.
 
         Returning early keeps the data version and the cache version in
@@ -1351,7 +1371,7 @@ class SkylineService:
             cache_retained=0,
             cache_patched=0,
             cache_invalidated=0,
-            seconds=time.perf_counter() - started,
+            seconds=0.0,
         )
 
     def _ensure_dynamic(self) -> DynamicDataset:
@@ -1363,27 +1383,40 @@ class SkylineService:
         if self._dynamic is None:
             self._install(
                 DynamicDataset.from_dataset(self.dataset),
-                with_tree=False,
-                with_mdc=False,
                 with_adaptive=False,
             )
         return self._dynamic
 
     def _absorb(
-        self,
-        kind: str,
-        ids: List[int],
-        effects: List[UpdateEffect],
-        base_changed: bool,
-        started: float,
+        self, kind: str, ids: List[int], started: float
     ) -> UpdateReport:
-        """Post-mutation bookkeeping: structures, cache, report."""
+        """Maintain the skylines, the view and the cache for one batch.
+
+        ``ids`` were just appended or tombstoned.  A batch that changed
+        the base or template skyline marks the indexes stale; a batch
+        with no skyline flip and an unchanged base skyline provably
+        cannot change either index (candidate dominators and member
+        rows are both untouched).
+        """
         dyn = self._dynamic
-        assert dyn is not None and self._maintainer is not None
         with self._lock:
             self._updates += len(ids)
             self._gate_updates += len(ids)
             self._decay_gate_locked()
+        if kind == "insert":
+            template_step = self._maintainer.insert
+            base_step = self._base_maintainer.insert
+            revise = self._insert_patcher(ids)
+        else:
+            template_step = self._maintainer.delete
+            base_step = self._base_maintainer.delete
+            deleted = frozenset(ids)
+
+            def revise(key, cached):
+                return None if deleted.intersection(cached) else cached
+
+        effects = [template_step(point_id) for point_id in ids]
+        base_changed = [base_step(point_id).changed for point_id in ids]
         entered: List[int] = []
         evicted: List[int] = []
         for effect in effects:
@@ -1392,29 +1425,9 @@ class SkylineService:
             entered.extend(effect.entered)
             evicted.extend(effect.evicted)
         self._template_skyline_size = len(self._maintainer)
-
-        if entered or evicted or base_changed or self._indexes_stale:
-            # A batch with no skyline flip and an unchanged base
-            # skyline provably cannot change either index: candidate
-            # dominators and member rows are both untouched - unless
-            # they are already stale from earlier batches, in which
-            # case a below-gate lull is exactly when to catch them up.
-            if self._update_ratio() < self.planner.config.incremental_update_ratio:
-                self._rebuild_indexes_locked()
-            else:
-                self._indexes_stale = True
-
-        if kind == "insert":
-            retained, patched, invalidated = self.cache.revise(
-                self._insert_patcher(ids)
-            )
-        else:
-            deleted = frozenset(ids)
-            retained, patched, invalidated = self.cache.revise(
-                lambda key, cached: None
-                if deleted.intersection(cached)
-                else cached
-            )
+        if entered or evicted or any(base_changed):
+            self._indexes_stale = True
+        retained, patched, invalidated = self.cache.revise(revise)
         return UpdateReport(
             kind=kind,
             point_ids=tuple(ids),

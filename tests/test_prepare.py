@@ -155,8 +155,7 @@ def check_context(backend, rows, table, store):
     )
     assert np.array_equal(ctx.values_t, matrix.T)
     python = get_backend("python")
-    expected = python.scores(python.prepare(rows, table), range(len(rows)))
-    assert ctx.scores.tolist() == expected
+    assert ctx.scores.tolist() == python.score_rows(table, rows)
 
 
 @pytest.mark.parametrize("store_kind", sorted(STORES))
@@ -218,7 +217,7 @@ def test_extend_matches_python_reference(
     for i, row in enumerate(canonical):
         assert tuple(ctx.ranks_t[:, i].tolist()) == table.rank_vector(row)
     assert np.array_equal(ctx.values_t, np.asarray(canonical).T)
-    assert ctx.scores.tolist() == python.scores(check, ids)
+    assert ctx.scores.tolist() == python.score_rows(table, canonical)
     for ranks, buckets in zip(ctx.ranks_t, getattr(ctx, "buckets_t", ())):
         order = np.lexsort((buckets, ranks))
         steps = np.diff(buckets[order].astype(int))

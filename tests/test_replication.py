@@ -22,11 +22,15 @@ version, so nearly every test ends in an id-for-id comparison.
 from __future__ import annotations
 
 import os
+import random
 import socket
 
 import pytest
 
 from repro import faults
+from repro.core.attributes import Schema, nominal, numeric_min
+from repro.core.dataset import Dataset
+from repro.core.preferences import Preference
 from repro.core.skyline import skyline
 from repro.datagen import SyntheticConfig, generate
 from repro.datagen.queries import generate_preferences
@@ -358,6 +362,105 @@ def test_follower_background_thread_converges(tmp_path, dataset):
     finally:
         follower.close()
         primary.close()
+
+
+#: A small all-integer corpus, so the pinned WAL below stays readable.
+PARITY_SCHEMA = Schema([
+    numeric_min("P"), numeric_min("Q"),
+    nominal("G", ["T", "H", "M"]), nominal("S", ["a", "b", "c"]),
+])
+
+
+def _parity_row(rng):
+    return [
+        rng.randrange(20), rng.randrange(20),
+        rng.choice("THM"), rng.choice("abc"),
+    ]
+
+
+def _write_record_stream(service):
+    """A seeded insert/delete/compact stream with a compact mid-way."""
+    rng = random.Random(29)
+    for step in ("insert", "delete", "insert", "compact", "delete", "insert"):
+        if step == "insert":
+            # The last row beats every earlier one of its group, so each
+            # insert changes both maintained skylines.
+            rows = [_parity_row(rng) for _ in range(3)]
+            rows.append([-1 - service.version, 0, "M", "c"])
+            service.insert_rows(rows)
+        elif step == "delete":
+            live = sorted(service._dynamic.ids)
+            service.delete_rows(rng.sample(live, 3))
+        else:
+            service.compact()
+
+
+#: The WAL written for :func:`_write_record_stream` by the write path as
+#: it was before ``SkylineService.apply_record`` became the one
+#: record-apply method: the record bytes must not change.
+EARLIER_WAL = (
+    b'6b09c536 {"op":"insert","rows":[[17,2,"H","c"],[19,9,"T","c"],[11,12,"H","a"],[-1,0,"M","c"]],"version":1}\n'
+    b'ce75984d {"ids":[2,6,28],"op":"delete","version":2}\n'
+    b'd4340e09 {"op":"insert","rows":[[7,11,"T","b"],[10,19,"M","b"],[6,14,"T","a"],[-3,0,"M","c"]],"version":3}\n'
+    b'b94d86b2 {"op":"compact","version":4}\n'
+    b'6c5ef7e6 {"ids":[27,26,43],"op":"delete","version":5}\n'
+    b'c5c16450 {"op":"insert","rows":[[18,16,"T","c"],[13,9,"H","c"],[7,13,"H","c"],[-6,0,"M","c"]],"version":6}\n'
+)
+
+
+def test_live_replayed_and_followed_records_agree(tmp_path):
+    """One record stream, three consumers: the primary applies it live,
+    recovery replays it, a follower applies its frames.  A WAL written
+    by the earlier write path recovers too."""
+    rng = random.Random(3)
+    data = Dataset(PARITY_SCHEMA, [tuple(_parity_row(rng)) for _ in range(40)])
+    template = Preference({"G": "T < *"})
+    preferences = [
+        None,
+        Preference({"G": "T < H < *"}),
+        Preference({"G": "T < M < H", "S": "b < *"}),
+        Preference({"S": "c < a < *"}),
+    ]
+    primary = SkylineService(data, template, storage_dir=tmp_path / "p")
+    follower = Follower(LocalReplicationSource(primary), poll_interval=0.01)
+    services = [primary]
+    try:
+        follower.sync()
+        _write_record_stream(primary)
+        _drain(follower)
+        services.append(follower.service)
+        primary.close()
+        assert (tmp_path / "p" / "wal-0.log").read_bytes() == EARLIER_WAL
+        services.append(SkylineService.recover(tmp_path / "p"))
+        SkylineService(data, template, storage_dir=tmp_path / "old").close()
+        (tmp_path / "old" / "wal-0.log").write_bytes(EARLIER_WAL)
+        services.append(SkylineService.recover(tmp_path / "old"))
+
+        assert primary.version == 6
+        for service in services:
+            assert service.version == primary.version
+            for maintainer in ("_maintainer", "_base_maintainer"):
+                assert sorted(getattr(service, maintainer).ids) == sorted(
+                    getattr(primary, maintainer).ids
+                ), maintainer
+            assert service.available_routes() == primary.available_routes()
+            snap = service.data_snapshot()
+            translate = service._dynamic.snapshot_ids()
+            for pref in preferences:
+                expected = tuple(sorted(
+                    translate[i] for i in skyline(
+                        snap, pref, template=template,
+                        algorithm="bruteforce",
+                    ).ids
+                ))
+                for route in service.available_routes():
+                    assert service.query(
+                        pref, use_cache=False, route=route
+                    ).ids == expected, route
+    finally:
+        follower.close()
+        for service in services:
+            service.close()
 
 
 # ---------------------------------------------------------------------------

@@ -590,6 +590,50 @@ class TestKillAndRecover:
         assert document["with_tree"] is True
         assert "tree" not in document and "tree_stale" not in document
 
+    def test_recovery_computes_one_condition_store(
+        self, tmp_path, monkeypatch
+    ):
+        """Recovery replays its WAL tail, then builds the indexes once.
+
+        Every batch after the (initial) checkpoint changes the template
+        skyline, and none is followed by a query, so the churn gate
+        would let each one rebuild both indexes.  The replay builds no
+        index; one condition store feeds the tree and the filter after
+        it, however long the tail.
+        """
+        from repro.mdc.mdc import ConditionStore
+
+        base, template, service, prefs = make_durable_service(tmp_path)
+        assert service.tree is not None and service.mdc is not None
+        assert service.adaptive is not None
+        for step in range(4):
+            row = tuple(
+                -(10**6) - step if spec.domain is None else spec.domain[0]
+                for spec in base.schema
+            )
+            report = service.insert_rows([row])
+            assert report.skyline_entered == report.point_ids
+        version = service.version
+        del service
+
+        computed = []
+        compute = ConditionStore.compute
+
+        def counting(*args, **kwargs):
+            computed.append(args)
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(ConditionStore, "compute", staticmethod(counting))
+        recovered = SkylineService.recover(tmp_path / "state")
+        assert recovered.version == version
+        assert len(computed) == 1
+        assert not recovered._indexes_stale
+        for route in ("ipo", "mdc"):
+            for pref in prefs:
+                assert recovered.query(
+                    pref, use_cache=False, route=route
+                ).ids == oracle(recovered, pref), route
+
     def test_recovery_replays_a_compact_record(self, tmp_path):
         base, template, service, prefs = make_durable_service(tmp_path)
         live = list(range(len(base)))
