@@ -121,7 +121,9 @@ def measure_config(num_points: int, churn: float, backend_name: str) -> Dict:
     data = DynamicDataset.from_dataset(base)
     sky = IncrementalSkyline(data, template, backend=backend)
     started = time.perf_counter()
-    apply_ops(data, ops, sky.insert, sky.delete)
+    apply_ops(
+        data, ops, lambda p: sky.insert([p]), lambda p: sky.delete([p])
+    )
     maintain_seconds = time.perf_counter() - started
 
     # Correctness gate: the maintained skyline equals a from-scratch

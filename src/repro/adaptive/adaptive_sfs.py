@@ -339,7 +339,7 @@ class AdaptiveSFS:
         self._data = maintainer.data
 
     def apply(self, effect: UpdateEffect) -> None:
-        """Absorb one update the maintainer already made to ``SKY(R~)``.
+        """Absorb one batch the maintainer already made to ``SKY(R~)``.
 
         Evicted members leave the sorted list; entrants are scored
         under the template and placed by score.
@@ -364,7 +364,7 @@ class AdaptiveSFS:
         """
         sky = self._own_maintainer()
         point_id = sky.data.append([tuple(row)])[0]
-        self.apply(sky.insert(point_id))
+        self.apply(sky.insert([point_id]))
         return point_id
 
     def delete(self, point_id: int) -> None:
@@ -376,7 +376,7 @@ class AdaptiveSFS:
         """
         sky = self._own_maintainer()
         sky.data.delete([point_id])
-        self.apply(sky.delete(point_id))
+        self.apply(sky.delete([point_id]))
 
     def _own_maintainer(self) -> IncrementalSkyline:
         """The maintainer, created over a private dynamic copy on first use.

@@ -70,9 +70,14 @@ class PythonBackend(Backend):
         rows = ctx.rows
         against_rows = [rows[a] for a in against]
         out = []
-        for t in targets:
+        for t in targets:  # a loop, not any(): no generator per target
             row_t = rows[t]
-            out.append(any(dominates(q, row_t) for q in against_rows))
+            for q in against_rows:
+                if dominates(q, row_t):
+                    out.append(True)
+                    break
+            else:
+                out.append(False)
         return out
 
     # -- composite kernels -------------------------------------------------

@@ -37,11 +37,11 @@ Recovery attaches neither its store nor any index until the tail is
 replayed, so it logs nothing twice and builds the indexes once.  A
 writer-preferring read-write lock keeps queries concurrent with each
 other while writes run exclusively.  Semantic-cache entries are
-*revised* per update under a data version counter: inserts patch every
-cached skyline in place (exact - a new point can only evict what it
-dominates), deletes drop exactly the entries whose skyline contained a
-deleted row, and answers computed against a superseded version are
-fenced out of the cache.
+*revised* per batch under a data version counter: inserts patch every
+cached skyline in place with the batch's ``SKY(R~)`` entrants alone
+(exact by Theorem 1), deletes drop exactly the entries whose skyline
+held a departed member, and answers computed against a superseded
+version are fenced out of the cache.
 
 The answer of every route is the identical skyline id set (Theorem 1
 guarantees the index routes search inside ``SKY(R~)`` without losing
@@ -665,17 +665,13 @@ class SkylineService:
         """Insert rows; maintain every structure and the cache incrementally.
 
         The batch becomes one ``insert`` record on :meth:`apply_record`'s
-        path: appended to the dynamic dataset (validated all-or-nothing),
-        absorbed by the template-skyline and base-skyline maintainers
-        (Adaptive SFS applies the template maintainer's effects), and
-        every semantic-cache entry is *patched in place* - an insert's
-        effect on any cached skyline is exact and local (the new point
-        joins unless dominated and evicts exactly what it dominates), so
-        no entry is dropped.  When the batch changed the base or
-        template skyline, the IPO-tree and the MDC filter are rebuilt
-        while the workload stays below the churn gate
-        (``PlannerConfig.incremental_update_ratio``) and left stale
-        above it (rebuilt by :meth:`refresh_structures` or
+        path: appended (validated all-or-nothing), absorbed whole by both
+        maintainers (Adaptive SFS applies the template effect), and
+        every cache entry is *patched in place* with the batch's
+        ``SKY(R~)`` entrants (:meth:`_insert_patcher`).  A skyline
+        change rebuilds the IPO-tree and the MDC filter below the churn
+        gate (``PlannerConfig.incremental_update_ratio``) and leaves
+        them stale above it (until :meth:`refresh_structures` or
         :meth:`compact`).
         """
         batch = [list(row) for row in rows]
@@ -692,12 +688,10 @@ class SkylineService:
         """Delete rows; maintain every structure and the cache incrementally.
 
         Rows are tombstoned (ids stay stable until :meth:`compact`).
-        The skyline maintainers recompute only each removed point's
-        exclusive dominance region; semantic-cache entries are dropped
-        *only* when their cached skyline actually contained a deleted
-        row - a deleted non-member cannot change that entry's answer,
-        so everything else is retained as-is.  The batch is one
-        ``delete`` record on :meth:`apply_record`'s path.
+        The maintainers recompute only the rows the departed members
+        shadowed; a cache entry is dropped *only* when its answer held
+        a departed ``SKY(R~)`` member.  The batch is one ``delete``
+        record on :meth:`apply_record`'s path.
         """
         ids = [int(p) for p in point_ids]
         if not ids:
@@ -1392,11 +1386,11 @@ class SkylineService:
     ) -> UpdateReport:
         """Maintain the skylines, the view and the cache for one batch.
 
-        ``ids`` were just appended or tombstoned.  A batch that changed
-        the base or template skyline marks the indexes stale; a batch
-        with no skyline flip and an unchanged base skyline provably
-        cannot change either index (candidate dominators and member
-        rows are both untouched).
+        ``ids`` were just appended or tombstoned; each maintainer takes
+        the whole batch.  Only a batch that changed the base or template
+        skyline can change an index, so only it marks them stale.  Every
+        cached answer lies inside ``SKY(R~)`` (Theorem 1), so the cache
+        sees only the batch's ``SKY(R~)`` entrants or departures.
         """
         dyn = self._dynamic
         with self._lock:
@@ -1404,53 +1398,55 @@ class SkylineService:
             self._gate_updates += len(ids)
             self._decay_gate_locked()
         if kind == "insert":
-            template_step = self._maintainer.insert
-            base_step = self._base_maintainer.insert
-            revise = self._insert_patcher(ids)
+            effect = self._maintainer.insert(ids)
+            base = self._base_maintainer.insert(ids)
+            revise = self._insert_patcher(effect.entered)
         else:
-            template_step = self._maintainer.delete
-            base_step = self._base_maintainer.delete
-            deleted = frozenset(ids)
+            effect = self._maintainer.delete(ids)
+            base = self._base_maintainer.delete(ids)
+            departed = frozenset(effect.evicted)
 
             def revise(key, cached):
-                return None if deleted.intersection(cached) else cached
+                return None if departed.intersection(cached) else cached
 
-        effects = [template_step(point_id) for point_id in ids]
-        base_changed = [base_step(point_id).changed for point_id in ids]
-        entered: List[int] = []
-        evicted: List[int] = []
-        for effect in effects:
-            if self.adaptive is not None:
-                self.adaptive.apply(effect)
-            entered.extend(effect.entered)
-            evicted.extend(effect.evicted)
+        if self.adaptive is not None:
+            self.adaptive.apply(effect)
         self._template_skyline_size = len(self._maintainer)
-        if entered or evicted or any(base_changed):
+        if effect.changed or base.changed:
             self._indexes_stale = True
         retained, patched, invalidated = self.cache.revise(revise)
         return UpdateReport(
             kind=kind,
             point_ids=tuple(ids),
             version=dyn.version,
-            skyline_entered=tuple(sorted(set(entered) - set(evicted))),
-            skyline_evicted=tuple(sorted(set(evicted) - set(entered))),
+            skyline_entered=effect.entered,
+            skyline_evicted=effect.evicted,
             cache_retained=retained,
             cache_patched=patched,
             cache_invalidated=invalidated,
             seconds=time.perf_counter() - started,
         )
 
-    def _insert_patcher(self, new_ids: List[int]):
+    def _insert_patcher(self, entrants: Sequence[int]):
         """Entry revision function applying an insert batch exactly.
 
-        Every cached entry is patched without recomputation by the
-        maintainers' insert rule (:func:`~repro.updates.incremental.admit`),
-        on a python-backend context: its prepare is free, where a
-        vectorized one over every slot would cost more than the patch.
-        Rank tables are compiled at most once per distinct cached key
-        over the *service lifetime* (the table is a pure function of
-        the immutable key + schema), from the canonical key itself.
+        ``entrants`` are the batch's rows in ``SKY(R~)`` after it; no
+        other new row changes a cached answer.  Every cached key ``R'``
+        refines the template (else ``canonical_cache_key`` refused it),
+        so ``SKY(R')`` lies inside ``SKY(R~)`` (Theorem 1) and no other
+        row enters.  Nor does one evict: if a new row ``p`` outside
+        ``SKY(R~)`` dominates a cached member ``m`` under ``R'``, some
+        ``q`` in ``SKY(R~)`` dominates ``p`` under ``R~``, hence under
+        ``R'``, so ``q`` dominates ``m``.  An old ``q`` contradicts
+        ``m ∈ SKY(R')``; a new ``q`` is an entrant and evicts ``m``.
+
+        Each entry is patched by the maintainers' insert rule
+        (:func:`~repro.updates.incremental.admit`) on a python-backend
+        context (free to prepare, unlike a vectorized one over every
+        slot), with its rank table compiled once per cached key.
         """
+        if not entrants:
+            return lambda key, cached: cached
         dyn = self._dynamic
         assert dyn is not None
         rows = dyn.canonical_rows
@@ -1468,17 +1464,11 @@ class SkylineService:
                 )
                 table = tables[key] = RankTable.compile(schema, pref)
             ctx = python.prepare(rows, table)
-            members = list(cached)
-            changed = False
-            for point_id in new_ids:
-                evicted = admit(python, ctx, members, point_id)
-                if evicted is None:
-                    continue
-                gone = set(evicted)
-                members = [m for m in members if m not in gone]
-                members.append(point_id)
-                changed = True
-            return tuple(sorted(members)) if changed else cached
+            entered, evicted = admit(python, ctx, cached, entrants)
+            if not entered:
+                return cached
+            kept = set(cached).difference(evicted)
+            return tuple(sorted(kept.union(entered)))
 
         return patch
 

@@ -7,11 +7,10 @@ layer:
 * :class:`DynamicDataset` - a mutable dataset: O(appended) appends,
   tombstoned deletes (ids stay stable), periodic :meth:`compaction
   <DynamicDataset.compact>`.
-* :class:`IncrementalSkyline` - per-preference skyline maintenance:
-  inserts are one dominance sweep (evict what the new point
-  dominates), deletes recompute only the removed point's exclusive
-  dominance region through the engine kernels.
-* :class:`UpdateEffect` - the membership delta of one update; a
+* :class:`IncrementalSkyline` - per-preference skyline maintenance a
+  batch at a time: inserts evict what their entrants dominate, deletes
+  recompute only the rows the departed members shadowed.
+* :class:`UpdateEffect` - the membership delta of one batch; a
   non-empty one makes :mod:`repro.serve` rebuild its indexes.
 * :class:`ReadWriteLock` - writer-preferring RW lock letting queries
   stay concurrent while updates run exclusively.

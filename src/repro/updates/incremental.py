@@ -1,23 +1,41 @@
 """Incremental skyline maintenance under inserts and deletes.
 
 A skyline over a churning table can be kept current far cheaper than it
-can be recomputed, because single-row updates have *local* effects:
+can be recomputed, because updates have *local* effects.  Write ``D``
+for the live rows before a batch and ``M = SKY(D)`` for the members.
 
-* **insert** ``p``: if any current member dominates ``p``, the skyline
-  is unchanged.  Otherwise ``p`` joins and evicts exactly the members
-  it dominates.  Nothing outside the current skyline can change - a
-  non-member was dominated by some member ``m``; if ``p`` evicted
-  ``m``, then ``p`` dominates ``m`` dominates it (transitivity), so it
-  stays out.
-* **delete** of a non-member: no effect (it disqualified nothing).
-* **delete** of a member ``p``: the only possible entrants are points
-  of ``p``'s **exclusive dominance region** - live points dominated by
-  ``p`` and by *no other* member.  Among those candidates, the new
-  entrants are exactly their mutual minima: any live dominator of a
-  candidate is either another candidate or ``p`` itself (a non-member
-  dominator ``q`` is dominated by some member ``m``; ``m`` dominates
-  the candidate too, so exclusivity forces ``m = p``, putting ``q`` in
-  the region as well).
+* **insert** of a batch ``B``: a new row ``p`` enters iff no member and
+  no other new row dominates it, so the entrants ``E`` are the
+  ``skyline`` of the new rows no member dominates.  (A row of ``D``
+  dominating ``p`` is a member or dominated by one, and so is a new row
+  some member dominates; either way a member dominates ``p``.)  A
+  member ``m``
+  leaves iff some entrant dominates it: a new row ``b`` dominating
+  ``m`` is an entrant or is dominated by a row of ``SKY(D ∪ B)``; that
+  row is no member (a member dominating ``m`` contradicts
+  ``m ∈ M``), so it is an entrant and dominates ``m``.  Nothing outside
+  ``M ∪ B`` can enter - a non-member was dominated by some member
+  ``m``; whatever evicts ``m`` dominates it too (transitivity).  So an
+  insert is ``dominated_any`` of the new rows against the members,
+  ``skyline`` over the survivors, and ``dominated_any`` of the members
+  against the entrants (:func:`admit`, which the serving layer's cache
+  patcher shares).
+* **delete** of a batch: departed non-members have no effect (they
+  disqualified nothing).  When members ``X ⊆ M`` depart, the only
+  possible entrants are the live rows some departed member dominates
+  and no remaining member does (a row that entered had all its member
+  dominators in ``X``, and it had one).  Among those candidates, the
+  entrants are exactly their mutual minima: a live dominator ``q`` of
+  a candidate is no remaining member (the candidate is not dominated by
+  one), and if ``q`` was not a member it was dominated by some member
+  ``m``; ``m`` dominates the candidate too, so ``m ∈ X``, and a
+  remaining member dominating ``q`` would dominate the candidate -
+  ``q`` is a candidate as well.  So a delete is ``dominated_any`` of
+  the live rows against the departed members, ``dominated_any`` of
+  those shadowed rows against the remaining members, and ``skyline``
+  over the candidates left (:func:`withdraw`).  A member tombstoned but
+  not yet absorbed screens as a remaining member and never enters, so
+  a batch may also be absorbed in parts.
 * **groups under the base order** ``R0``: when the preference lists no
   value on any nominal dimension, every nominal value takes its
   dimension's default rank, and two distinct values sharing a rank are
@@ -26,37 +44,25 @@ can be recomputed, because single-row updates have *local* effects:
   dimension: dominance never crosses *groups* (rows with equal nominal
   tuples), and ``SKY(R0)`` is the union of the per-group skylines
   (numeric skylines, as the nominal values are equal inside a group).
-  Hence an inserted row can be dominated by, and evict, only members of
-  its own group; a deleted member's exclusive region lies in its own
-  group, and only that group's members can dominate a row of it.
+  Hence both rules split by group: a batch's rows of one group are
+  tested against, and evict, only that group's members; a departed
+  member's shadowed rows lie in its own group, and only that group's
+  members can screen them.
 
 :class:`IncrementalSkyline` implements exactly that per compiled
-preference (one maintainer per template the serving layer keeps hot),
-and its only dominance code is the engine backend's kernels: an insert
-is ``any_dominates`` plus ``dominates_mask`` (:func:`admit`, which the
-serving layer's cache patcher shares); a member delete is
-``dominates_mask`` over the live rows, ``dominated_any`` of the
-shadowed rows against the remaining members, and the backend's
-``skyline`` over the exclusive candidates.  They run on one context
-over every slot, cached on the dataset's ``(compactions, num_slots)``:
-a tombstone changes no slot, so a delete batch reuses its insert
-batch's context, and an appended batch grows it by its own rows
-(``backend.extend``); only a compaction costs a fresh
-``backend.prepare``.  A maintainer whose table lists no nominal value
-keys its live rows and its members by nominal tuple and runs the same
-steps over the row's group alone; it computes its initial skyline the
-same way, as the union of the per-group skylines, building the group
-index in that pass (:func:`base_skyline` is this build for ``R0``, the
-library's one builder of ``SKY(R0)``).  A step that touches at most
-:data:`PYTHON_GROUP_ROWS` rows (the group's members for an insert, its
-rows for a delete) runs on the python reference kernels, whose prepare
-is free; a larger one runs on the configured backend's cached context,
-restricted to the group's ids (a schema without nominal dimensions
-has one group of every row, and small domains give large groups); the
-initial build picks per group by the group's size.
-Dominance semantics are the paper's: on nominal dimensions two
-distinct *unlisted* values share the default rank but are
-**incomparable**.
+preference, and its only dominance code is the engine backend's
+kernels, on one context over every slot cached on the dataset's
+``(compactions, num_slots)``: a delete batch reuses its insert batch's
+context, an appended batch grows it (``backend.extend``), only a
+compaction prepares afresh.  A maintainer whose table lists no nominal
+value keys its rows and members by nominal tuple, applies both rules
+per touched group and builds its skyline as the union of the group
+skylines (:func:`base_skyline`, the library's one builder of
+``SKY(R0)``).  A group step touching at most :data:`PYTHON_GROUP_ROWS`
+rows (the group's members for an insert, its rows for a delete) runs on
+the free-to-prepare python kernels, a larger one on the backend's
+context.  On nominal dimensions two distinct *unlisted* values share
+the default rank but are **incomparable** (the paper's semantics).
 """
 
 from __future__ import annotations
@@ -82,15 +88,12 @@ PYTHON_GROUP_ROWS = 512
 
 @dataclass(frozen=True)
 class UpdateEffect:
-    """What one maintained update did to the skyline.
-
-    ``entered``/``evicted`` list the member ids that joined/left; the
-    serving layer reports them per batch and rebuilds its indexes only
-    when some skyline changed.
-    """
+    """What one maintained batch did to the skyline: the member ids
+    that joined/left, net of the batch (a row evicted by a later row of
+    its own batch is in neither)."""
 
     kind: str
-    point_id: int
+    point_ids: Tuple[int, ...]
     entered: Tuple[int, ...]
     evicted: Tuple[int, ...]
 
@@ -101,19 +104,31 @@ class UpdateEffect:
 
 
 def admit(
-    backend, ctx, members: Sequence[int], point_id: int
-) -> Optional[List[int]]:
-    """The insert rule: the members ``point_id`` evicts, or ``None``.
+    backend, ctx, members: Sequence[int], new_ids: Sequence[int]
+) -> Tuple[List[int], List[int]]:
+    """The insert rule: ``(entered, evicted)`` for the batch ``new_ids``
+    (``ctx`` covers every new row and every member)."""
+    if members:
+        dominated = backend.dominated_any(ctx, new_ids, members)
+        new_ids = [p for p, hit in zip(new_ids, dominated) if not hit]
+    if len(new_ids) > 1:
+        new_ids = backend.skyline(ctx, new_ids)
+    if not (new_ids and members):
+        return list(new_ids), []
+    beaten = backend.dominated_any(ctx, members, new_ids)
+    return list(new_ids), [m for m, hit in zip(members, beaten) if hit]
 
-    ``None`` means some member dominates ``point_id``, so the skyline
-    is unchanged; otherwise the point joins and evicts exactly the
-    returned members.  ``ctx`` is ``backend``'s context over rows that
-    include the point and every member.
-    """
-    if backend.any_dominates(ctx, point_id, members):
-        return None
-    mask = backend.dominates_mask(ctx, point_id, members)
-    return [m for m, hit in zip(members, mask) if hit]
+
+def withdraw(backend, ctx, departed: Sequence[int], live: Sequence[int],
+             members: Sequence[int]) -> List[int]:
+    """The delete rule: the ``live`` rows entering once ``departed``
+    leave and ``members`` remain."""
+    shadowed = backend.dominated_any(ctx, live, departed)
+    candidates = [i for i, hit in zip(live, shadowed) if hit]
+    if candidates and members:
+        screened = backend.dominated_any(ctx, candidates, members)
+        candidates = [i for i, hit in zip(candidates, screened) if not hit]
+    return backend.skyline(ctx, candidates) if candidates else []
 
 
 def base_skyline(data, *, backend=None) -> Tuple[int, ...]:
@@ -144,7 +159,7 @@ class IncrementalSkyline:
     >>> sky.ids                       # (12, "T") dominated by (10, "T")
     (0, 1)
     >>> pid = data.append([(9, "T")])[0]
-    >>> sky.insert(pid).evicted       # (9, "T") evicts (10, "T")
+    >>> sky.insert([pid]).evicted     # (9, "T") evicts (10, "T")
     (0,)
     >>> sky.ids
     (1, 3)
@@ -197,85 +212,47 @@ class IncrementalSkyline:
         return len(self._members)
 
     # -- maintenance -------------------------------------------------------
-    def insert(self, point_id: int) -> UpdateEffect:
-        """Absorb a row already appended to the dataset.
-
-        Tests the new point against the members (of its group, under
-        the base order); evicts the members it dominates and admits it
-        unless a member dominates it.
-        """
-        self._check_not_compacted()
-        if not self.data.is_live(point_id):
-            raise DatasetError(
-                f"insert({point_id}): append the row to the dataset first"
-            )
-        if self._grouped:
-            group, group_members = self._group_of(point_id)
-            group.add(point_id)
-            members = list(group_members)
+    def insert(self, point_ids: Sequence[int]) -> UpdateEffect:
+        """Absorb a batch of rows already appended (:func:`admit`)."""
+        ids = self._absorbable(point_ids, True, "insert", "append the row to")
+        entered: List[int] = []
+        evicted: List[int] = []
+        for group, members, batch in self._parts(ids):
+            if group is not None:
+                group.update(batch)
             engine, ctx = self._kernels(len(members))
-        else:
-            members = list(self._members)
-            engine, ctx = self.backend, self._context()
-        evicted = admit(engine, ctx, members, point_id)
-        if evicted is None:
-            return UpdateEffect("insert", point_id, (), ())
-        self._members.difference_update(evicted)
-        self._members.add(point_id)
-        if self._grouped:
-            group_members.difference_update(evicted)
-            group_members.add(point_id)
-        self._ids_cache = None
+            came, went = admit(engine, ctx, list(members), batch)
+            self._replace(members, went, came)
+            entered += came
+            evicted += went
         return UpdateEffect(
-            "insert", point_id, (point_id,), tuple(sorted(evicted))
+            "insert", tuple(ids), tuple(sorted(entered)), tuple(sorted(evicted))
         )
 
-    def delete(self, point_id: int) -> UpdateEffect:
-        """Absorb a deletion already tombstoned in the dataset.
-
-        Non-members are O(1) (plus dropping the row from its group).
-        For a member, only its exclusive dominance region is
-        recomputed: the rows it dominates, screened against the other
-        members, and the mutual minima of the survivors enter.
-        """
-        self._check_not_compacted()
-        if self.data.is_live(point_id):
-            raise DatasetError(
-                f"delete({point_id}): tombstone the row in the dataset first"
-            )
-        if self._grouped:
-            group, group_members = self._group_of(point_id)
-            group.discard(point_id)
-        if point_id not in self._members:
-            return UpdateEffect("delete", point_id, (), ())
-        self._members.discard(point_id)
-        self._ids_cache = None
-        # The sweep runs over every live row (of the group): a
-        # surviving member cannot be dominated by the removed member
-        # (both were skyline members, hence mutually non-dominated), so
-        # members drop out of `shadowed` by themselves.  A group still
-        # holds the rows tombstoned in this batch whose own delete is
-        # pending; they screen as members but never enter.
-        if self._grouped:
-            group_members.discard(point_id)
-            block: Sequence[int] = list(group)
-            members = list(group_members)
-            engine, ctx = self._kernels(len(block))
-        else:
-            block = self.data.ids
-            members = list(self._members)
-            engine, ctx = self.backend, self._context()
-        mask = engine.dominates_mask(ctx, point_id, block)
+    def delete(self, point_ids: Sequence[int]) -> UpdateEffect:
+        """Absorb a batch of rows already tombstoned (:func:`withdraw`);
+        departed non-members cost O(1) each."""
+        ids = self._absorbable(point_ids, False, "delete", "tombstone the row in")
+        entered: List[int] = []
+        evicted: List[int] = []
         is_live = self.data.is_live
-        shadowed = [i for i, hit in zip(block, mask) if hit and is_live(i)]
-        screened = engine.dominated_any(ctx, shadowed, members)
-        exclusive = [i for i, hit in zip(shadowed, screened) if not hit]
-        entered = engine.skyline(ctx, exclusive) if exclusive else []
-        self._members.update(entered)
-        if self._grouped:
-            group_members.update(entered)
+        for group, members, batch in self._parts(ids):
+            if group is not None:
+                group.difference_update(batch)
+            gone = [i for i in batch if i in members]
+            if not gone:
+                continue
+            # Rows tombstoned but not yet absorbed screen, never enter.
+            live = self.data.ids if group is None else [
+                i for i in group if is_live(i)
+            ]
+            engine, ctx = self._kernels(len(live))
+            came = withdraw(engine, ctx, gone, live, list(members - set(gone)))
+            self._replace(members, gone, came)
+            entered += came
+            evicted += gone
         return UpdateEffect(
-            "delete", point_id, tuple(sorted(entered)), (point_id,)
+            "delete", tuple(ids), tuple(sorted(entered)), tuple(sorted(evicted))
         )
 
     def rebuild(self) -> Tuple[int, ...]:
@@ -365,37 +342,59 @@ class IncrementalSkyline:
         return self._ctx
 
     def _kernels(self, size: int):
-        """The engine and context for a grouped step over ``size`` rows."""
-        if size <= PYTHON_GROUP_ROWS:
+        """The engine and context for a step over ``size`` rows."""
+        if self._grouped and size <= PYTHON_GROUP_ROWS:
             python = self._python
             return python, python.prepare(self.data.canonical_rows, self.table)
         return self.backend, self._context()
 
-    def _group_of(self, point_id: int) -> Tuple[Set[int], Set[int]]:
-        """The ``(group, members)`` ids sharing ``point_id``'s nominal tuple.
-
-        ``group`` holds the live ids plus the ones tombstoned since the
-        maintainer last absorbed a delete of them (a member tombstoned
-        in the current batch still screens until its own delete is
-        absorbed).
-        """
+    def _parts(self, point_ids: List[int]):
+        """``(group, members, ids)`` per nominal group of a batch (one
+        ``(None, members, ids)`` part when ungrouped); ``group`` holds the
+        live ids plus those tombstoned but not yet absorbed."""
+        if not self._grouped:
+            return [(None, self._members, point_ids)]
         assert self._groups is not None
-        row = self.data.canonical_rows[point_id]
-        key = tuple(row[d] for d in self._nominal)
-        group = self._groups.get(key)
-        if group is None:
-            group = self._groups[key] = (set(), set())
-        return group
+        rows = self.data.canonical_rows
+        nominal = self._nominal
+        by_key: Dict[tuple, List[int]] = {}
+        for point_id in point_ids:
+            key = tuple(rows[point_id][d] for d in nominal)
+            by_key.setdefault(key, []).append(point_id)
+        groups = self._groups
+        return [
+            (*groups.setdefault(key, (set(), set())), batch)
+            for key, batch in by_key.items()
+        ]
 
-    def _check_not_compacted(self) -> None:
-        """Fail fast when the dataset was compacted under this maintainer.
+    def _replace(
+        self, members: Set[int], gone: Sequence[int], came: Sequence[int]
+    ) -> None:
+        """Swap ``gone`` for ``came`` in a part's and the whole member set."""
+        if not (gone or came):
+            return
+        members.difference_update(gone)
+        members.update(came)
+        if members is not self._members:
+            self._members.difference_update(gone)
+            self._members.update(came)
+        self._ids_cache = None
 
-        Compaction reassigns every id, invalidating the member set and
-        the group index; silently absorbing further updates would
-        produce wrong skylines with no diagnostic.
+    def _absorbable(self, point_ids, live: bool, verb: str, step: str):
+        """``point_ids`` as a list, once each is ``live`` as required.
+
+        Fails fast when the dataset was compacted under this maintainer:
+        compaction reassigns every id, invalidating the member set and
+        the group index, so absorbing further updates would silently
+        produce wrong skylines.
         """
         if self.data.compactions != self._compactions:
             raise DatasetError(
                 "the dataset was compacted since this maintainer last "
                 "synced; call rebuild() to re-attach it"
             )
+        ids = list(point_ids)
+        for point_id in ids:
+            if self.data.is_live(point_id) != live:
+                raise DatasetError(f"{verb}({point_id}): {step} the dataset first")
+        return ids

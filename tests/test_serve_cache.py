@@ -408,9 +408,24 @@ class TestInterleavedUpdatesAndQueries:
 
         A mutator thread applies single-row inserts and deletes while
         query threads read continuously (cached and uncached).  The
-        mutator maintains a shadow copy of the live rows and records,
-        per data version, the brute-force skyline of every test
-        preference.  Every (preference, answer, version) triple any
+        body is :meth:`hammer`; this case writes one row per batch.
+        """
+        self.hammer(mode, batch_rows=(1, 1))
+
+    @pytest.mark.parametrize("mode", ["single", "batch"])
+    def test_multi_row_batches_match_a_rebuild_at_some_version(self, mode):
+        """The same hammer with 2-5 rows per insert and delete batch, so
+        the maintainers and the cache patch absorb whole batches."""
+        self.hammer(mode, batch_rows=(2, 5))
+
+    def hammer(self, mode, batch_rows):
+        """Run the hammer; ``batch_rows`` bounds the rows per write.
+
+        A mutator thread applies inserts and deletes of ``batch_rows``
+        rows while query threads read continuously (cached and
+        uncached).  The mutator maintains a shadow copy of the live
+        rows and records, per data version, the brute-force skyline of
+        every test preference.  Every (preference, answer, version) triple any
         query thread ever observed must equal the recorded rebuild at
         exactly that version - a torn read (a scan overlapping a
         mutation, or a cache entry surviving un-revised) would surface
@@ -474,16 +489,25 @@ class TestInterleavedUpdatesAndQueries:
         def mutate():
             barrier.wait()
             rng = random.Random(99)
+            sizes = random.Random(98)
             try:
                 for _ in range(self.MUTATIONS):
+                    count = sizes.randint(*batch_rows)
                     if rng.random() < 0.5 and len(shadow) > 20:
-                        victim = rng.choice(sorted(shadow))
-                        report = service.delete_rows([victim])
-                        del shadow[victim]
+                        victims = (
+                            rng.sample(sorted(shadow), count) if count > 1
+                            else [rng.choice(sorted(shadow))]
+                        )
+                        report = service.delete_rows(victims)
+                        for victim in victims:
+                            del shadow[victim]
                     else:
-                        row = extra.row(rng.randrange(len(extra)))
-                        report = service.insert_rows([row])
-                        shadow[report.point_ids[0]] = row
+                        rows = [
+                            extra.row(rng.randrange(len(extra)))
+                            for _ in range(count)
+                        ]
+                        report = service.insert_rows(rows)
+                        shadow.update(zip(report.point_ids, rows))
                     record(report.version)
             finally:
                 done.set()

@@ -136,13 +136,13 @@ class TestIncrementalSkyline:
         data = small_dynamic()
         sky = IncrementalSkyline(data)
         with pytest.raises(DatasetError):
-            sky.insert(99)
+            sky.insert([99])
 
     def test_delete_requires_the_tombstone_first(self):
         data = small_dynamic()
         sky = IncrementalSkyline(data)
         with pytest.raises(DatasetError):
-            sky.delete(0)
+            sky.delete([0])
 
     def test_insert_effects_enter_and_evict(self):
         data = small_dynamic()
@@ -150,11 +150,11 @@ class TestIncrementalSkyline:
         before = sky.ids
         # A point dominated by (10, 5, T): no membership change.
         pid = data.append([(11, 6, "T")])[0]
-        effect = sky.insert(pid)
+        effect = sky.insert([pid])
         assert not effect.changed and sky.ids == before
         # A point dominating (10, 5, T) and (9, 9, T): evicts both.
         pid = data.append([(8, 4, "T")])[0]
-        effect = sky.insert(pid)
+        effect = sky.insert([pid])
         assert effect.entered == (pid,)
         assert 0 in effect.evicted
         assert pid in sky and 0 not in sky
@@ -163,10 +163,10 @@ class TestIncrementalSkyline:
         data = small_dynamic()
         sky = IncrementalSkyline(data)
         pid = data.append([(100, 100, "T")])[0]  # dominated by everything
-        sky.insert(pid)
+        sky.insert([pid])
         before = sky.ids
         data.delete([pid])
-        effect = sky.delete(pid)
+        effect = sky.delete([pid])
         assert not effect.changed and sky.ids == before
 
     def test_delete_readmits_exclusive_dominance_region_only(self):
@@ -182,7 +182,7 @@ class TestIncrementalSkyline:
         sky = IncrementalSkyline(data)
         assert sky.ids == (0, 1)
         data.delete([0])
-        effect = sky.delete(0)
+        effect = sky.delete([0])
         assert effect.evicted == (0,)
         assert effect.entered == (2,)
         assert sky.ids == (1, 2)
@@ -210,10 +210,10 @@ class TestIncrementalSkyline:
             if rng.random() < 0.5 and live:
                 victim = live.pop(rng.randrange(len(live)))
                 data.delete([victim])
-                sky.delete(victim)
+                sky.delete([victim])
             else:
                 pid = data.append([extra.row(rng.randrange(len(extra)))])[0]
-                sky.insert(pid)
+                sky.insert([pid])
                 live.append(pid)
             if step % 30 == 29:
                 maintained = sky.ids
@@ -254,18 +254,18 @@ def churned(seed, *, tombstone_top_value=False):
         live = [i for i in live if i not in set(victims)]
         data.delete(victims)
         for victim in victims:
-            sky.delete(victim)
-            bases.delete(victim)
+            sky.delete([victim])
+            bases.delete([victim])
     for _ in range(60):
         if rng.random() < 0.5 and live:
             victim = live.pop(rng.randrange(len(live)))
             data.delete([victim])
-            sky.delete(victim)
-            bases.delete(victim)
+            sky.delete([victim])
+            bases.delete([victim])
         else:
             pid = data.append([extra.row(rng.randrange(len(extra)))])[0]
-            sky.insert(pid)
-            bases.insert(pid)
+            sky.insert([pid])
+            bases.insert([pid])
             live.append(pid)
     return base, template, data, sky, bases
 
@@ -307,12 +307,12 @@ class TestTreeRefresh:
                 if rng.random() < 0.5 and live:
                     victim = live.pop(rng.randrange(len(live)))
                     data.delete([victim])
-                    sky.delete(victim)
+                    sky.delete([victim])
                 else:
                     pid = data.append(
                         [extra.row(rng.randrange(len(extra)))]
                     )[0]
-                    sky.insert(pid)
+                    sky.insert([pid])
                     live.append(pid)
             tree.refresh(data, ConditionStore.compute(data, sky.ids))
             assert tree.stats.skyline_size == len(sky.ids)
@@ -475,6 +475,66 @@ class TestServiceUpdates:
             result = service.query(pref)
             assert pid in result.ids
             assert result.route == "cache"  # served from the patched entry
+
+    @staticmethod
+    def spy_admit(monkeypatch):
+        """Record the new ids of every cache-patch ``admit`` call."""
+        import repro.serve.service as service_module
+
+        calls = []
+        real = service_module.admit
+
+        def admit(backend, ctx, members, new_ids):
+            calls.append(tuple(new_ids))
+            return real(backend, ctx, members, new_ids)
+
+        monkeypatch.setattr(service_module, "admit", admit)
+        return calls
+
+    def test_cache_patch_admits_only_template_entrants(self, monkeypatch):
+        base, template, service, prefs = self.make_service()
+        entries = len({service.query(p).key for p in prefs})
+        calls = self.spy_admit(monkeypatch)
+        # Copies of rows outside SKY(R~) stay outside it: the patcher
+        # admits nothing and every entry is retained untouched.
+        outside = [i for i in range(len(base)) if i not in service._maintainer]
+        report = service.insert_rows([base.row(i) for i in outside[:4]])
+        assert report.skyline_entered == ()
+        assert calls == []
+        assert report.cache_retained == entries
+        assert report.cache_patched == report.cache_invalidated == 0
+        # One entrant among dominated rows: only it reaches the patcher.
+        report = service.insert_rows(
+            [base.row(i) for i in outside[4:7]]
+            + [self.extreme_row(base.schema, -10**9)]
+        )
+        entrant = report.point_ids[-1]
+        assert report.skyline_entered == (entrant,)
+        assert calls == [(entrant,)] * entries
+        assert report.cache_patched == entries
+        for pref in prefs:
+            result = service.query(pref)
+            assert result.route == "cache"
+            assert result.ids == self.oracle(service, template, pref)
+
+    def test_row_evicted_within_its_batch_is_not_reported(self):
+        base, template, service, prefs = self.make_service()
+        for pref in prefs:
+            service.query(pref)
+        # ``a`` would enter on its own; ``b``, later in the same batch,
+        # dominates it on every dimension.
+        a = self.extreme_row(base.schema, -10**9)
+        b = self.extreme_row(base.schema, -10**9 - 1)
+        report = service.insert_rows([a, b])
+        a_id, b_id = report.point_ids
+        assert report.skyline_entered == (b_id,)
+        assert a_id not in report.skyline_evicted
+        assert a_id not in service._maintainer
+        snapshot = list(service.cache._entries.items())
+        assert snapshot
+        for pref in prefs:
+            key = service.query(pref).key
+            assert dict(snapshot)[key] == self.oracle(service, template, pref)
 
     def test_delete_drops_only_entries_containing_the_victim(self):
         base, template, service, prefs = self.make_service()
@@ -750,16 +810,16 @@ class TestReviewRegressions:
         data = small_dynamic()
         sky = IncrementalSkyline(data)
         data.delete([0])
-        sky.delete(0)
+        sky.delete([0])
         data.compact()
         pid = data.append([(1, 1, "T")])[0]
         with pytest.raises(DatasetError, match="compacted"):
-            sky.insert(pid)
+            sky.insert([pid])
         # rebuild() re-attaches: maintained ids equal a fresh recompute.
         sky.rebuild()
         assert sky.ids == sky.rebuild()
         data.delete([pid])
-        assert sky.delete(pid).changed  # absorbs updates again
+        assert sky.delete([pid]).changed  # absorbs updates again
 
     def test_forced_stale_route_answers_are_not_cached(self):
         base = generate(
@@ -831,8 +891,8 @@ class TestReviewRegressions:
         bases = IncrementalSkyline(data)  # empty preference = SKY(R0)
         tree = IPOTree.build(base, template)
         pid = data.append([base.row(0)])[0]
-        sky.insert(pid)
-        bases.insert(pid)
+        sky.insert([pid])
+        bases.insert([pid])
         tree.refresh(
             data, ConditionStore.compute(data, sky.ids, candidates=bases.ids)
         )

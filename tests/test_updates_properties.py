@@ -98,9 +98,9 @@ class TestMetamorphic:
         data, sky = maintainer_for(base, pref, backend)
         before = sky.ids
         pid = data.append([extra])[0]
-        insert_effect = sky.insert(pid)
+        insert_effect = sky.insert([pid])
         data.delete([pid])
-        delete_effect = sky.delete(pid)
+        delete_effect = sky.delete([pid])
         assert sky.ids == before
         # The two effects must also be inverse in membership terms.
         assert insert_effect.changed == delete_effect.changed
@@ -111,7 +111,7 @@ class TestMetamorphic:
     def test_n_inserts_equal_one_rebuild(self, backend, base, extras, pref):
         data, sky = maintainer_for(base, pref, backend)
         for row in extras:
-            sky.insert(data.append([row])[0])
+            sky.insert(data.append([row]))
         extended = Dataset(SCHEMA, list(base) + list(extras))
         fresh = IncrementalSkyline(
             DynamicDataset.from_dataset(extended), pref, backend=backend
@@ -132,7 +132,7 @@ class TestMetamorphic:
         before = sky.ids
         victim = outside[len(outside) // 2]
         data.delete([victim])
-        effect = sky.delete(victim)
+        effect = sky.delete([victim])
         assert not effect.changed
         assert sky.ids == before
         assert sky.ids == sky.rebuild()
@@ -253,7 +253,7 @@ class TestGroupedBaseSkyline:
                     for victim in victims:
                         before = set(sky.ids)
                         entered = expected_delete(data, table, before, victim)
-                        effect = sky.delete(victim)
+                        effect = sky.delete([victim])
                         assert effect.entered == entered, (victims, victim)
                         assert (before - set(effect.evicted)) | set(
                             effect.entered
@@ -263,7 +263,7 @@ class TestGroupedBaseSkyline:
                         data.row(live[payload % len(live)])
                     )
                     before = set(sky.ids)
-                    effect = sky.insert(data.append([row])[0])
+                    effect = sky.insert(data.append([row]))
                     assert (before - set(effect.evicted)) | set(
                         effect.entered
                     ) == set(sky.ids)
@@ -321,3 +321,101 @@ class TestBaseSkylineBuild:
         assert whole == tuple(sorted(bruteforce_skyline(
             rows, range(len(base)), table, backend="python"
         )))
+
+
+# ---------------------------------------------------------------------------
+# one batch against the same ids in batches of one
+# ---------------------------------------------------------------------------
+def _improved(schema, row):
+    """``row`` one better on every numeric dimension: inserted after
+    ``row``, it evicts ``row`` within the same batch."""
+    return tuple(
+        value if spec.domain else value - 1 for spec, value in zip(schema, row)
+    )
+
+
+@st.composite
+def batch_churn(draw, schema):
+    """Base rows plus insert batches of 1-8 rows (the last one sometimes
+    improving the first, so a row enters and is evicted inside the
+    batch) and delete batches of 1-8 live rows (picked by index)."""
+    row = _rows_of(schema)
+    base = draw(st.lists(row, max_size=20))
+    ops = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            batch = draw(st.lists(row, min_size=1, max_size=7))
+            if draw(st.booleans()):
+                batch.append(_improved(schema, batch[0]))
+            ops.append(("insert", batch))
+        else:
+            ops.append((
+                "delete",
+                draw(st.lists(st.integers(0, 10_000), min_size=1, max_size=8)),
+            ))
+    return base, ops
+
+
+@st.composite
+def template_preferences(draw):
+    """An implicit preference listing at least one value of ``A``."""
+    chain_a = draw(chains(DOMAIN_A).filter(bool))
+    return Preference({
+        "A": ImplicitPreference(chain_a),
+        "B": ImplicitPreference(draw(chains(DOMAIN_B))),
+    })
+
+
+def _net(effects):
+    """The net ``(entered, evicted)`` of per-row effects, in order."""
+    entered, evicted = set(), set()
+    for effect in effects:
+        evicted |= set(effect.evicted) - entered
+        entered = (entered - set(effect.evicted)) | set(effect.entered)
+    return tuple(sorted(entered)), tuple(sorted(evicted))
+
+
+@pytest.mark.parametrize("backend", ["python", None], ids=["python", "default"])
+@pytest.mark.parametrize("kind", ["template", "grouped", "grouped-backend"])
+class TestBatchEqualsSingles:
+    """A batch ``insert``/``delete`` lands on the same ids as absorbing
+    its ids one at a time, and its effect is the net of the per-row
+    effects.  ``template`` lists a nominal value (one ungrouped step on
+    the backend's context); ``grouped`` is ``SKY(R0)`` per nominal group
+    on the python kernels, ``grouped-backend`` the same with every group
+    step on the backend's context (``PYTHON_GROUP_ROWS = 0``)."""
+
+    @SETTINGS
+    @given(data_=st.data())
+    def test_batch_matches_batches_of_one(self, backend, kind, data_):
+        base, ops = data_.draw(batch_churn(SCHEMA))
+        pref = data_.draw(template_preferences()) if kind == "template" else None
+        limit = 0 if kind == "grouped-backend" else incremental.PYTHON_GROUP_ROWS
+        batched = DynamicDataset(SCHEMA, base)
+        single = DynamicDataset(SCHEMA, base)
+        with mock.patch.object(incremental, "PYTHON_GROUP_ROWS", limit):
+            sky = IncrementalSkyline(batched, pref, backend=backend)
+            ref = IncrementalSkyline(single, pref, backend=backend)
+            assert sky._grouped == (kind != "template")
+            for op, payload in ops:
+                if op == "insert":
+                    ids = batched.append(payload)
+                    assert single.append(payload) == ids
+                    effect = sky.insert(ids)
+                    parts = [ref.insert([i]) for i in ids]
+                else:
+                    live = batched.ids
+                    if not live:
+                        continue
+                    ids = sorted({live[k % len(live)] for k in payload})
+                    batched.delete(ids)
+                    single.delete(ids)
+                    effect = sky.delete(ids)
+                    parts = [ref.delete([i]) for i in ids]
+                assert effect.point_ids == tuple(ids)
+                assert sky.ids == ref.ids, (op, payload)
+                assert (effect.entered, effect.evicted) == _net(parts)
+            assert sky.ids == tuple(sorted(bruteforce_skyline(
+                batched.canonical_rows, batched.ids, sky.table,
+                backend="python",
+            )))
