@@ -15,8 +15,8 @@ configurations that force different planner behaviour:
 
 A final section replays the hot workload sequentially and through
 ``submit_batch`` (``--batch``, default chunk 32) against fresh
-services, cached and uncached, in seven alternating pairs, recording
-the median batched-over-sequential throughput ratio and its quartiles.
+services, cached and uncached, recording the batched-over-sequential
+throughput ratios.
 
 The recorded baseline lives in ``BENCH_serve.json`` at the repo root,
 written at the default sizes::
@@ -36,7 +36,6 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import statistics
 import sys
 from typing import Dict, List
 
@@ -66,26 +65,16 @@ def service_configs(cache_size: int) -> Dict[str, Dict]:
     }
 
 
-#: Sequential/batched replay pairs per cache mode.  One pair times two
-#: sub-100 ms replays, whose ratio swings by 2x between runs on one
-#: host; the median of seven pairs is the reported speedup.
-BATCHING_PAIRS = 7
-
-
 def run_batching(dataset, template, args) -> Dict:
     """Batched vs sequential submission of the hot workload.
 
-    Replays the identical hot preference stream per cache mode - one
-    query at a time, and chunked through ``submit_batch`` - each
-    against a *fresh* service, so cache state is comparable.  The two
-    replays alternate for :data:`BATCHING_PAIRS` pairs (the first of
-    each pair alternating too), and ``batch_speedup`` is the median of
-    the pairs' ratios (batched qps over sequential qps, same machine,
-    same run) with their quartiles as the same-tree spread: the
-    machine-portable headline metrics.  The qps and the replay reports
-    are the median pair's.  The ``uncached`` row isolates what in-batch
-    dedup alone buys on freshness-critical traffic that may not consult
-    the result cache.
+    Replays the identical hot preference stream twice per cache mode -
+    one query at a time, then chunked through ``submit_batch`` - each
+    against a *fresh* service, so cache state is comparable.  The
+    ``batch_speedup`` ratios (batched qps over sequential qps, same
+    machine, same run) are the machine-portable headline metrics; the
+    ``uncached`` row isolates what in-batch dedup alone buys on
+    freshness-critical traffic that may not consult the result cache.
     """
     batch_size = args.batch if args.batch is not None else 32
     preferences = build_workload(
@@ -99,48 +88,32 @@ def run_batching(dataset, template, args) -> Dict:
     )
     out: Dict[str, Dict] = {"batch_size": batch_size}
     for label, use_cache in (("cached", True), ("uncached", False)):
-        pairs = []
-        for pair in range(BATCHING_PAIRS):
-            modes = (("sequential", None), ("batched", batch_size))
-            rows = {}
-            for mode, size in modes[:: 1 if pair % 2 == 0 else -1]:
-                service = SkylineService(
-                    dataset,
-                    template,
-                    cache_capacity=args.cache_size,
-                )
-                rows[mode] = replay(
-                    service,
-                    preferences,
-                    name=f"hot-{mode}-{label}",
-                    concurrency=args.concurrency,
-                    use_cache=use_cache,
-                    batch_size=size,
-                )
-            sequential_qps = rows["sequential"].throughput_qps
-            ratio = (
-                rows["batched"].throughput_qps / sequential_qps
-                if sequential_qps
-                else 0.0
+        rows = {}
+        for mode, size in (("sequential", None), ("batched", batch_size)):
+            service = SkylineService(
+                dataset,
+                template,
+                cache_capacity=args.cache_size,
             )
-            pairs.append((ratio, rows))
-        pairs.sort(key=lambda pair: pair[0])
-        ratios = [ratio for ratio, _rows in pairs]
-        lower, median, upper = statistics.quantiles(ratios, n=4)
-        rows = pairs[len(pairs) // 2][1]
-        for mode in ("sequential", "batched"):
-            print(f"    {rows[mode].render()}", file=sys.stderr)
-        print(
-            f"    {label} batch_speedup median {median:.3f} "
-            f"(quartiles {lower:.3f}-{upper:.3f}, {len(pairs)} pairs)",
-            file=sys.stderr,
-        )
+            report = replay(
+                service,
+                preferences,
+                name=f"hot-{mode}-{label}",
+                concurrency=args.concurrency,
+                use_cache=use_cache,
+                batch_size=size,
+            )
+            print(f"    {report.render()}", file=sys.stderr)
+            rows[mode] = report
+        sequential_qps = rows["sequential"].throughput_qps
         out[label] = {
-            "sequential_qps": round(rows["sequential"].throughput_qps, 2),
+            "sequential_qps": round(sequential_qps, 2),
             "batched_qps": round(rows["batched"].throughput_qps, 2),
-            "batch_speedup": round(median, 3) if median else None,
-            "batch_speedup_quartiles": [round(lower, 3), round(upper, 3)],
-            "pairs": len(pairs),
+            "batch_speedup": (
+                round(rows["batched"].throughput_qps / sequential_qps, 3)
+                if sequential_qps
+                else None
+            ),
             "sequential": rows["sequential"].as_dict(),
             "batched": rows["batched"].as_dict(),
         }

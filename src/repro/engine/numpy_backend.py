@@ -74,10 +74,6 @@ _STAGE_GROWTH = 2
 #: Maximum number of cells any broadcast temporary may hold.
 _CELL_BUDGET = 1 << 24
 
-#: Sweeps of at most this many (window, candidate) pairs run as one
-#: matrix: stages would cost more than the cells they skip.
-_DENSE_CELLS = 1 << 14
-
 #: Only windows longer than this consult the suffix minima of the
 #: staged sweep (see ``_dominated_any``): the check costs one ranks
 #: pass over the candidates per stage, which short windows (the
@@ -274,8 +270,6 @@ def _dominated_any(np, nominal, window: _Cols, candidates: _Cols):
     num_window = window.size
     if num_window == 0 or num_candidates == 0:
         return dead
-    if num_window * num_candidates <= _DENSE_CELLS:
-        return _dominates_matrix(np, nominal, window, candidates).any(axis=0)
     shrink = num_window > _SHRINK_MIN_WINDOW
     if shrink:
         # suffix_min[:, s] = per-dimension min of window.ranks[:, s:].

@@ -70,14 +70,9 @@ class PythonBackend(Backend):
         rows = ctx.rows
         against_rows = [rows[a] for a in against]
         out = []
-        for t in targets:  # a loop, not any(): no generator per target
+        for t in targets:
             row_t = rows[t]
-            for q in against_rows:
-                if dominates(q, row_t):
-                    out.append(True)
-                    break
-            else:
-                out.append(False)
+            out.append(any(dominates(q, row_t) for q in against_rows))
         return out
 
     # -- composite kernels -------------------------------------------------

@@ -214,7 +214,13 @@ class IncrementalSkyline:
     # -- maintenance -------------------------------------------------------
     def insert(self, point_ids: Sequence[int]) -> UpdateEffect:
         """Absorb a batch of rows already appended (:func:`admit`)."""
-        ids = self._absorbable(point_ids, True, "insert", "append the row to")
+        self._check_not_compacted()
+        ids = list(point_ids)
+        for point_id in ids:
+            if not self.data.is_live(point_id):
+                raise DatasetError(
+                    f"insert({point_id}): append the row to the dataset first"
+                )
         entered: List[int] = []
         evicted: List[int] = []
         for group, members, batch in self._parts(ids):
@@ -232,7 +238,13 @@ class IncrementalSkyline:
     def delete(self, point_ids: Sequence[int]) -> UpdateEffect:
         """Absorb a batch of rows already tombstoned (:func:`withdraw`);
         departed non-members cost O(1) each."""
-        ids = self._absorbable(point_ids, False, "delete", "tombstone the row in")
+        self._check_not_compacted()
+        ids = list(point_ids)
+        for point_id in ids:
+            if self.data.is_live(point_id):
+                raise DatasetError(
+                    f"delete({point_id}): tombstone the row in the dataset first"
+                )
         entered: List[int] = []
         evicted: List[int] = []
         is_live = self.data.is_live
@@ -380,21 +392,15 @@ class IncrementalSkyline:
             self._members.update(came)
         self._ids_cache = None
 
-    def _absorbable(self, point_ids, live: bool, verb: str, step: str):
-        """``point_ids`` as a list, once each is ``live`` as required.
+    def _check_not_compacted(self) -> None:
+        """Fail fast when the dataset was compacted under this maintainer.
 
-        Fails fast when the dataset was compacted under this maintainer:
-        compaction reassigns every id, invalidating the member set and
-        the group index, so absorbing further updates would silently
-        produce wrong skylines.
+        Compaction reassigns every id, invalidating the member set and
+        the group index; silently absorbing further updates would
+        produce wrong skylines with no diagnostic.
         """
         if self.data.compactions != self._compactions:
             raise DatasetError(
                 "the dataset was compacted since this maintainer last "
                 "synced; call rebuild() to re-attach it"
             )
-        ids = list(point_ids)
-        for point_id in ids:
-            if self.data.is_live(point_id) != live:
-                raise DatasetError(f"{verb}({point_id}): {step} the dataset first")
-        return ids
