@@ -1,24 +1,16 @@
 #!/usr/bin/env python
-"""Scale-out benchmark: WAL-shipped read replicas + sharded scatter-gather.
+"""Replication benchmark: WAL-shipped read replicas.
 
-Two parts, matching the two axes of :mod:`repro.replication`:
-
-* **Read replication** - boots a durable primary, measures its hot-
-  workload wire QPS, then boots N followers (bootstrap snapshot + WAL
-  tail over real sockets), measures the mutate-to-converged catch-up
-  time, and finally measures each node's *isolated* hot-workload QPS.
-  ``aggregate_over_primary_qps`` is the summed per-node read capacity
-  over the primary-only capacity.  Nodes are separate machines in a
-  real deployment; measuring them one at a time and summing *models*
-  that (and sidesteps the benchmark container serialising concurrent
-  nodes onto one CPU), so ``check_regression.py`` reports it and
-  ``aggregate_qps`` as labelled models and gates neither.
-* **Sharded scatter-gather** - stripes a large dataset across shard
-  servers, runs a :class:`~repro.replication.ShardCoordinator` query
-  per preference and checks every merged answer id-for-id against a
-  single-node :func:`~repro.core.skyline.skyline` over the full
-  dataset.  ``exact`` must be ``true``; the throughput and merge-cost
-  numbers are recorded for trend-watching, not gated.
+Boots a durable primary, measures its hot-workload wire QPS, then
+boots N followers (bootstrap snapshot + WAL tail over real sockets),
+measures the mutate-to-converged catch-up time, and finally measures
+each node's *isolated* hot-workload QPS.  ``aggregate_over_primary_qps``
+is the summed per-node read capacity over the primary-only capacity.
+Nodes are separate machines in a real deployment; measuring them one
+at a time and summing *models* that (and sidesteps the benchmark
+container serialising concurrent nodes onto one CPU), so
+``check_regression.py`` reports it and ``aggregate_qps`` as labelled
+models and gates neither.
 
 The recorded baseline lives in ``BENCH_replication.json``::
 
@@ -37,20 +29,14 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.core.skyline import skyline
 from repro.datagen.generator import SyntheticConfig, generate
 from repro.datagen.queries import generate_preferences
 from repro.engine import get_backend
 from repro.net import NetClient, ServerConfig, ServerThread
 from repro.net.protocol import encode_preference
-from repro.replication import (
-    Follower,
-    HttpReplicationSource,
-    ShardCoordinator,
-    stripe_dataset,
-)
+from repro.replication import Follower, HttpReplicationSource
 from repro.serve.service import SkylineService
 
 
@@ -182,87 +168,16 @@ def bench_replicas(args, config: ServerConfig, workdir: Path) -> Dict:
         primary.close()
 
 
-def bench_scatter(args, config: ServerConfig) -> Dict:
-    """Exactness + throughput of the sharded scatter-gather merge."""
-    dataset = generate(SyntheticConfig(
-        num_points=args.scatter_points, num_numeric=args.numeric,
-        num_nominal=args.nominal, cardinality=args.cardinality,
-        seed=args.seed + 1,
-    ))
-    preferences = [None] + generate_preferences(
-        dataset, args.order, args.scatter_queries - 1, seed=args.seed + 1,
-    )
-
-    services = [SkylineService(s) for s in stripe_dataset(dataset, args.shards)]
-    servers: List[ServerThread] = []
-    try:
-        for service in services:
-            servers.append(ServerThread(service, config, debug=False).__enter__())
-        with ShardCoordinator(
-            dataset,
-            [(server.host, server.port) for server in servers],
-            seed=args.seed,
-        ) as coordinator:
-            merge_seconds: List[float] = []
-            candidates: List[int] = []
-            exact = True
-            started = time.perf_counter()
-            merged = [coordinator.query(p) for p in preferences]
-            scatter_seconds = time.perf_counter() - started
-            direct_started = time.perf_counter()
-            for preference, answer in zip(preferences, merged):
-                expected = skyline(dataset, preference).ids
-                if answer.ids != expected:
-                    exact = False
-                    print(f"MISMATCH for {preference!r}: "
-                          f"{len(answer.ids)} merged vs "
-                          f"{len(expected)} direct ids", file=sys.stderr)
-                merge_seconds.append(answer.merge_seconds)
-                candidates.append(answer.candidates)
-            direct_seconds = time.perf_counter() - direct_started
-            coordinator_qps = len(preferences) / scatter_seconds
-            print(f"scatter n={args.scatter_points} shards={args.shards}: "
-                  f"{coordinator_qps:.2f} q/s coordinator vs "
-                  f"{len(preferences) / direct_seconds:.2f} q/s single-node"
-                  f"{' [EXACT]' if exact else ' [DIVERGED]'}",
-                  file=sys.stderr)
-            return {
-                "num_points": args.scatter_points,
-                "shards": args.shards,
-                "queries": len(preferences),
-                "exact": exact,
-                "coordinator_qps": round(coordinator_qps, 4),
-                "single_node_qps": round(
-                    len(preferences) / direct_seconds, 4
-                ),
-                "merge_seconds_mean": round(
-                    sum(merge_seconds) / len(merge_seconds), 6
-                ),
-                "candidates_mean": round(
-                    sum(candidates) / len(candidates), 1
-                ),
-            }
-    finally:
-        for server in reversed(servers):
-            server.__exit__(None, None, None)
-        for service in services:
-            service.close()
-
-
 def main(argv=None) -> int:
-    """Run both parts and write the JSON report."""
+    """Run the benchmark and write the JSON report."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--points", type=int, default=2000,
-                        help="replica-part dataset size (default: 2000)")
+                        help="dataset size (default: 2000)")
     parser.add_argument("--queries", type=int, default=300,
                         help="hot-workload requests per node")
     parser.add_argument("--followers", type=int, default=2)
     parser.add_argument("--catchup-rows", type=int, default=10,
                         help="rows in the convergence-timing insert")
-    parser.add_argument("--scatter-points", type=int, default=200_000,
-                        help="scatter-part dataset size (default: 200000)")
-    parser.add_argument("--scatter-queries", type=int, default=5)
-    parser.add_argument("--shards", type=int, default=2)
     parser.add_argument("--clients", type=int, default=4)
     parser.add_argument("--hot-pool", type=int, default=16)
     parser.add_argument("--cache-size", type=int, default=64)
@@ -280,10 +195,9 @@ def main(argv=None) -> int:
     )
     with tempfile.TemporaryDirectory(prefix="bench-replication-") as tmp:
         replicas = bench_replicas(args, config, Path(tmp))
-    scatter = bench_scatter(args, config)
 
     payload = {
-        "benchmark": "WAL-shipped replication + sharded scatter-gather",
+        "benchmark": "WAL-shipped replication",
         "python": platform.python_version(),
         "backend": get_backend().name,
         "cpus": os.cpu_count(),
@@ -291,9 +205,6 @@ def main(argv=None) -> int:
             "points": args.points,
             "queries": args.queries,
             "followers": args.followers,
-            "scatter_points": args.scatter_points,
-            "scatter_queries": args.scatter_queries,
-            "shards": args.shards,
             "clients": args.clients,
             "hot_pool": args.hot_pool,
             "numeric": args.numeric,
@@ -303,7 +214,6 @@ def main(argv=None) -> int:
             "seed": args.seed,
         },
         "replicas": replicas,
-        "scatter": scatter,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
@@ -311,7 +221,7 @@ def main(argv=None) -> int:
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         print(text)
-    return 0 if scatter["exact"] else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -206,19 +206,6 @@ def replication_metrics(report: Dict) -> Iterator[Metric]:
         "replication.bootstrap_seconds_max",
         replicas.get("bootstrap_seconds_max"), False, False,
     )
-    scatter = report.get("scatter", {})
-    tag = (
-        f"scatter[n={scatter.get('num_points')},"
-        f"shards={scatter.get('shards')}]"
-    )
-    yield from _metric(
-        f"{tag}.coordinator_qps",
-        scatter.get("coordinator_qps"), True, False,
-    )
-    yield from _metric(
-        f"{tag}.merge_seconds_mean",
-        scatter.get("merge_seconds_mean"), False, False,
-    )
 
 
 def faults_metrics(report: Dict) -> Iterator[Metric]:
@@ -264,7 +251,7 @@ def replication_models(report: Dict) -> Dict[str, float]:
 
 #: "benchmark" field prefix -> modelled-figure extractor (never gated).
 MODELS = {
-    "WAL-shipped replication + sharded scatter-gather": replication_models,
+    "WAL-shipped replication": replication_models,
 }
 
 #: "benchmark" field prefix -> metric extractor.
@@ -275,7 +262,7 @@ EXTRACTORS = {
     "durable snapshot + WAL recovery": storage_metrics,
     "HTTP serving layer wire round-trip": net_metrics,
     "fault injection and graceful degradation": faults_metrics,
-    "WAL-shipped replication + sharded scatter-gather": replication_metrics,
+    "WAL-shipped replication": replication_metrics,
 }
 
 

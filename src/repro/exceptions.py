@@ -90,17 +90,6 @@ class ReplicationError(ReproError):
     """
 
 
-class ShardError(ReplicationError):
-    """A scatter-gather query could not cover every shard exactly.
-
-    Raised by the shard coordinator when a shard's local skyline is
-    unobtainable (retries exhausted, breaker open, malformed reply).
-    The merged skyline is only exact over *all* local skylines, so a
-    missing shard means refusing the query rather than answering from
-    a partial union.
-    """
-
-
 class IndexError_(ReproError):
     """An index structure was used in an unsupported way.
 

@@ -1,4 +1,4 @@
-"""The replication smoke: a one-process scale-out cluster, checked.
+"""The replication smoke: a one-process primary + replicas, checked.
 
 ::
 
@@ -8,17 +8,14 @@ boots, over real sockets on ephemeral ports:
 
 * a durable **primary** (WAL + snapshots in a temp dir),
 * ``--followers`` read replicas tailing its WAL stream,
-* ``--shards`` shard servers behind a :class:`ShardCoordinator`,
 * a :class:`FanOutClient` routing over the primary + replicas,
 
 then runs the mutate-then-query convergence script: replicas must
 reject writes (``403``), catch up to every primary mutation, and
 answer queries *identically* to the primary at the same version; the
-coordinator's merged skylines must equal a single-node service over
-the same rows before and after mutations; the router must honour
-read-your-writes.  Any failed check prints and exits 1 - this is the
-CI replication leg.  ``REPRO_FAULTS`` is honoured, so the leg can run
-with the stream fault site armed.
+router must honour read-your-writes.  Any failed check prints and
+exits 1 - this is the CI replication leg.  ``REPRO_FAULTS`` is
+honoured, so the leg can run with the stream fault site armed.
 """
 
 from __future__ import annotations
@@ -32,14 +29,12 @@ from contextlib import ExitStack
 from typing import List, Tuple
 
 from repro import faults
-from repro.core.skyline import skyline
 from repro.datagen.generator import SyntheticConfig, generate
 from repro.datagen.queries import generate_preferences
 from repro.net.client import NetClient
 from repro.net.config import ServerConfig
 from repro.net.resilient import RetryPolicy
 from repro.net.server import ServerThread
-from repro.replication.coordinator import ShardCoordinator, stripe_dataset
 from repro.replication.follower import Follower
 from repro.replication.router import FanOutClient
 from repro.replication.stream import HttpReplicationSource
@@ -50,18 +45,15 @@ def build_parser() -> argparse.ArgumentParser:
     """The smoke check's argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro-replication",
-        description="Replication / scatter-gather smoke check "
-        "(docs/replication.md).",
+        description="Replication smoke check (docs/replication.md).",
     )
     parser.add_argument("--smoke", action="store_true",
-                        help="boot primary + followers + shards in one "
-                        "process, run the convergence script, exit 0/1")
+                        help="boot primary + followers in one process, "
+                        "run the convergence script, exit 0/1")
     parser.add_argument("--points", type=int, default=400,
                         help="synthetic dataset size (default: 400)")
     parser.add_argument("--followers", type=int, default=2,
                         help="read replicas to boot (default: 2)")
-    parser.add_argument("--shards", type=int, default=2,
-                        help="shard servers to boot (default: 2)")
     parser.add_argument("--seed", type=int, default=0,
                         help="dataset/workload seed (default: 0)")
     return parser
@@ -80,7 +72,7 @@ def run_smoke(args) -> int:
             failures.append(f"{name}: {detail}")
 
     dataset = generate(SyntheticConfig(
-        num_points=max(args.points, args.shards), num_numeric=2,
+        num_points=args.points, num_numeric=2,
         num_nominal=2, cardinality=6, seed=args.seed,
     ))
     preferences = [None] + generate_preferences(
@@ -120,20 +112,6 @@ def run_smoke(args) -> int:
             )
             followers.append(follower)
             replica_addrs.append((server.host, server.port))
-
-        # -- shards --------------------------------------------------------
-        shard_addrs: List[Tuple[str, int]] = []
-        for stripe in stripe_dataset(dataset, args.shards):
-            shard_service = SkylineService(stripe)
-            stack.callback(shard_service.close)
-            server = stack.enter_context(
-                ServerThread(shard_service, config, debug=False)
-            )
-            shard_addrs.append((server.host, server.port))
-        coordinator = ShardCoordinator(
-            dataset, shard_addrs, policy=policy, seed=args.seed
-        )
-        stack.callback(coordinator.close)
 
         # -- replica role + convergence ------------------------------------
         with NetClient(*replica_addrs[0]) as replica_client:
@@ -199,44 +177,9 @@ def run_smoke(args) -> int:
             f"{router.watermark}",
         )
 
-        # -- scatter-gather ------------------------------------------------
-        for query_index, preference in enumerate(preferences):
-            direct = skyline(dataset, preference).ids
-            merged = coordinator.query(preference)
-            check(
-                f"scatter-q{query_index}",
-                merged.ids == direct,
-                f"merged={merged.ids[:10]}... direct={direct[:10]}...",
-            )
-        # Mirror coordinator mutations into a single-node service over
-        # the same rows: append order == gid order, so answers must
-        # stay identical id-for-id.
-        update = coordinator.insert([dataset.row(1)])
-        extra = SkylineService(dataset)
-        stack.callback(extra.close)
-        extra.insert_rows([dataset.row(1)])
-        merged = coordinator.query(preferences[1])
-        direct = extra.query(preferences[1], use_cache=False).ids
-        check(
-            "scatter-after-insert",
-            merged.ids == tuple(direct),
-            f"merged={merged.ids[:10]} direct={tuple(direct)[:10]} "
-            f"(gids {update.gids})",
-        )
-        coordinator.delete([update.gids[0]])
-        extra.delete_rows([update.gids[0]])
-        merged = coordinator.query(preferences[2])
-        direct = extra.query(preferences[2], use_cache=False).ids
-        check(
-            "scatter-after-delete",
-            merged.ids == tuple(direct),
-            f"merged={merged.ids[:10]} direct={tuple(direct)[:10]}",
-        )
-
         summary = {
             "followers": [f.status() for f in followers],
             "router": router.counters(),
-            "shards": args.shards,
         }
         print(json.dumps(summary, indent=2), file=sys.stderr)
 

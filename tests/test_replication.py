@@ -1,4 +1,4 @@
-"""Tests of :mod:`repro.replication`: WAL shipping, followers, shards.
+"""Tests of :mod:`repro.replication`: WAL shipping, followers, routing.
 
 Layered like the package itself:
 
@@ -10,13 +10,12 @@ Layered like the package itself:
   :class:`~repro.replication.stream.LocalReplicationSource`,
 * chaos via the ``replication.stream`` fault site (stream cut
   mid-record and resumed; faked rotations),
-* replica-mode HTTP servers, the fan-out router and the shard
-  coordinator over real sockets,
+* replica-mode HTTP servers and the fan-out router over real sockets,
 * fd hygiene: closing services/followers releases every descriptor.
 
-The paper's contract here is exactness: a replica or a scatter-gather
-merge must answer *identically* to a single-node service at the same
-version, so nearly every test ends in an id-for-id comparison.
+The paper's contract here is exactness: a replica must answer
+*identically* to the primary at the same version, so nearly every
+test ends in an id-for-id comparison.
 """
 
 from __future__ import annotations
@@ -34,12 +33,7 @@ from repro.core.preferences import Preference
 from repro.core.skyline import skyline
 from repro.datagen import SyntheticConfig, generate
 from repro.datagen.queries import generate_preferences
-from repro.exceptions import (
-    DatasetError,
-    ReplicationError,
-    ShardError,
-    StorageError,
-)
+from repro.exceptions import ReplicationError, StorageError
 from repro.faults import FaultPlan, FaultRule
 from repro.net.client import NetClient
 from repro.net.config import ServerConfig
@@ -51,8 +45,6 @@ from repro.replication import (
     HttpReplicationSource,
     LocalReplicationSource,
     ReplicationSource,
-    ShardCoordinator,
-    stripe_dataset,
 )
 from repro.serve.service import SkylineService
 from repro.storage import WriteAheadLog, frame_record, verify_frame
@@ -714,110 +706,6 @@ def test_router_rejects_negative_staleness():
 
 
 # ---------------------------------------------------------------------------
-# shard coordinator
-# ---------------------------------------------------------------------------
-def test_stripe_dataset_round_robin(dataset):
-    stripes = stripe_dataset(dataset, 3)
-    assert sum(len(s) for s in stripes) == len(dataset)
-    for shard, stripe in enumerate(stripes):
-        for local in range(len(stripe)):
-            assert stripe.row(local) == dataset.row(local * 3 + shard)
-    with pytest.raises(ValueError):
-        stripe_dataset(dataset, 0)
-
-
-@pytest.fixture()
-def shard_cluster(dataset):
-    """Two shard servers over the stripes + a coordinator."""
-    services = [SkylineService(s) for s in stripe_dataset(dataset, 2)]
-    servers = [
-        ServerThread(service, _config(), debug=False)
-        for service in services
-    ]
-    for server in servers:
-        server.__enter__()
-    coordinator = ShardCoordinator(
-        dataset,
-        [(server.host, server.port) for server in servers],
-        policy=FAST,
-        seed=4,
-    )
-    try:
-        yield coordinator
-    finally:
-        coordinator.close()
-        for server in servers:
-            server.__exit__(None, None, None)
-        for service in services:
-            service.close()
-
-
-def test_coordinator_matches_single_node(
-    shard_cluster, dataset, preferences
-):
-    for preference in preferences:
-        merged = shard_cluster.query(preference)
-        direct = skyline(dataset, preference).ids
-        assert merged.ids == direct  # gids == original row indices
-        assert merged.candidates >= len(merged.ids)
-        assert len(merged.shard_versions) == 2
-
-
-def test_coordinator_mutations_stay_exact(shard_cluster, dataset):
-    mirror = SkylineService(dataset)
-    try:
-        update = shard_cluster.insert([dataset.row(0), dataset.row(1)])
-        assert update.gids == (len(dataset), len(dataset) + 1)
-        assert {shard_cluster.shard_of(g) for g in update.gids} == {0, 1}
-        mirror.insert_rows([dataset.row(0), dataset.row(1)])
-        assert shard_cluster.query(None).ids == tuple(_ids(mirror, None))
-
-        shard_cluster.delete([update.gids[0], 5])
-        mirror.delete_rows([update.gids[0], 5])
-        assert shard_cluster.query(None).ids == tuple(_ids(mirror, None))
-
-        with pytest.raises(DatasetError, match="unknown global id"):
-            shard_cluster.delete([update.gids[0]])  # already gone
-    finally:
-        mirror.close()
-
-
-def test_coordinator_straggler_shard_still_exact(shard_cluster, dataset):
-    plan = FaultPlan(rules=[
-        FaultRule(site="serve.execute", kind="delay", delay=0.2, at=(1,)),
-    ])
-    with faults.use(plan):
-        merged = shard_cluster.query(None)
-    assert merged.ids == skyline(dataset, None).ids
-    assert merged.seconds >= 0.2  # it waited for the straggler
-
-
-def test_coordinator_refuses_partial_coverage(dataset):
-    stripes = stripe_dataset(dataset, 2)
-    with SkylineService(stripes[0]) as live:
-        with ServerThread(live, _config(), debug=False) as server:
-            coordinator = ShardCoordinator(
-                dataset,
-                [
-                    (server.host, server.port),
-                    ("127.0.0.1", _free_port()),  # shard 1 is down
-                ],
-                policy=FAST,
-                seed=4,
-            )
-            with coordinator:
-                with pytest.raises(ShardError, match="exact"):
-                    coordinator.query(None)
-                with pytest.raises(ShardError, match="not inserted"):
-                    coordinator.insert([dataset.row(0), dataset.row(1)])
-
-
-def test_coordinator_requires_addresses(dataset):
-    with pytest.raises(ValueError):
-        ShardCoordinator(dataset, [])
-
-
-# ---------------------------------------------------------------------------
 # fd hygiene
 # ---------------------------------------------------------------------------
 _FDS = "/proc/self/fd"
@@ -894,3 +782,11 @@ def test_replication_cli_requires_smoke_flag(capsys):
 
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_replication_smoke_passes_in_process(monkeypatch):
+    from repro.replication.__main__ import main
+
+    # An armed REPRO_FAULTS would install a process-wide plan.
+    monkeypatch.delenv(faults.FAULTS_ENV_VAR, raising=False)
+    assert main(["--smoke", "--points", "60", "--followers", "1"]) == 0
